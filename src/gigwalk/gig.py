@@ -12,6 +12,7 @@ stationary law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class GigParams:
     b: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.lam, self.a, self.b))):
+            raise ValueError("GIG parameters must be finite")
         if not (self.a > 0.0 and self.b > 0.0):
             raise ValueError("GIG parameters a and b must be positive")
 
@@ -71,6 +74,8 @@ class InvGammaParams:
     scale: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.shape, self.scale))):
+            raise ValueError("inverse-gamma shape and scale must be finite")
         if not (self.shape > 0.0 and self.scale > 0.0):
             raise ValueError("inverse-gamma shape and scale must be positive")
 

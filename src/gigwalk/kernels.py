@@ -14,11 +14,20 @@ evaluated on a log-spaced grid whose trapezoid rule is spectrally accurate
 for these doubly-exponentially decaying integrands, so the certified
 identities (Lambda P = Q Lambda, pi Ktilde = pi, detailed balance) are
 limited only by double precision.
+
+A composition "lead @ kernel block" never holds the whole n x n block:
+_apply_kernel evaluates the kernel over small row blocks of source points
+and accumulates, so the temporaries stay small and every per-source term
+(such as the Bessel normalizer of Lambda) is computed once.  P is never tabulated
+as a block at all: P(x, y) = P(1, y/x)/x, and on a log-uniform grid y_j/x_i
+depends only on j - i, so Lambda P is a Toeplitz convolution against one
+row of 2n - 1 values of P(1, .).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -194,8 +203,51 @@ class KernelDensity:
         return _FAMILIES[self.family](self.lam, self.a, source, target)
 
 
-def compose(first, second, source: float, grid: LogGrid | None = None,
-            chunk: int = 512) -> np.ndarray:
+# largest kernel block evaluated at once: 2**14 doubles, 128 KiB.  The
+# temporaries of a density evaluation then stay below glibc's default
+# 128 KiB mmap threshold and are reused from the heap.  Larger blocks were
+# mapped afresh and page-faulted in on every block (78k-92k minor faults per
+# n = 4000 Ktilde pass, 2**15 to 2**19); smaller ones pay more per-call
+# overhead.
+_BLOCK_ELEMENTS = 1 << 14
+
+
+def _apply_kernel(leads, kernel, pts: np.ndarray) -> np.ndarray:
+    """leads @ [kernel(pts[i], pts[j])]_ij without forming the n x n block.
+
+    leads has shape (..., n).  The kernel is evaluated over row blocks of
+    source points, at most _BLOCK_ELEMENTS at a time, and the partial
+    products are accumulated.
+    """
+    out = np.zeros(leads.shape[:-1] + pts.shape)
+    rows = max(1, _BLOCK_ELEMENTS // pts.size)
+    for i in range(0, pts.size, rows):
+        src = pts[i:i + rows]
+        out += leads[..., i:i + rows] @ np.asarray(kernel(src[:, None], pts[None, :]))
+    return out
+
+
+def _apply_p(lam: float, a: float, leads, pts: np.ndarray) -> np.ndarray:
+    """leads @ [P(pts[i], pts[j])]_ij as a convolution on a log-uniform grid.
+
+    leads has shape (k, n).  P(x, y) = P(1, y/x)/x and pts[j]/pts[i] =
+    r^(j-i), so with phi[m] = P(1, r^(m-n+1)) for m < 2n - 1 the product is
+    sum_i (leads_i / pts_i) phi[j - i + n - 1]: the n fully overlapping
+    terms of a direct convolution, n^2 multiply-adds per row of leads.
+    Raises ValueError when the grid is not log-uniform.
+    """
+    n = pts.size
+    u = np.log(pts)
+    uniform = u[0] + (u[-1] - u[0]) / (n - 1) * np.arange(n)
+    if np.max(np.abs(u - uniform)) > 1e-12 * max(1.0, np.max(np.abs(u))):
+        raise ValueError("the P kernel is applied as a convolution and needs "
+                         "a log-uniform grid such as LogGrid.make")
+    ratios = np.concatenate((pts[0] / pts[:0:-1], pts / pts[0]))
+    phi = np.asarray(p_density(lam, a, 1.0, ratios))
+    return np.array([np.convolve(phi, c, mode="valid") for c in leads / pts])
+
+
+def compose(first, second, source: float, grid: LogGrid | None = None) -> np.ndarray:
     """(first second)(source, v) = int second(y, v) first(source, dy) on the grid.
 
     Returns the composed density tabulated at grid.points.  Raises
@@ -212,40 +264,32 @@ def compose(first, second, source: float, grid: LogGrid | None = None,
         raise GridCoverageError(
             f"intermediate law poorly covered: boundary mass {edge:.2e}, "
             f"total mass {total:.6f}; widen the grid")
-    out = np.empty_like(pts)
-    for i in range(0, pts.size, chunk):
-        block = pts[i:i + chunk]
-        out[i:i + chunk] = lead @ np.asarray(second(pts[:, None], block[None, :]))
-    return out
+    return _apply_kernel(lead, second, pts)
 
 
-def intertwining_residuals(lam: float, a: float, zs, grid: LogGrid | None = None,
-                           chunk: int = 512) -> dict[float, float]:
+def intertwining_residuals(lam: float, a: float, zs,
+                           grid: LogGrid | None = None) -> dict[float, float]:
     """Sup-norm residuals of (Lambda P)(z, .) - (Q Lambda)(z, .) for several z.
 
-    The P and Lambda kernel blocks are shared across all source points, so
-    sweeping a z list costs one matrix pass instead of one per source.
+    Lambda P is a Toeplitz convolution on the log-uniform grid (see
+    _apply_p), with P evaluated once on the 2n - 1 grid ratios; Q Lambda
+    takes one row-blocked pass of the Lambda kernel (_apply_kernel) shared
+    by all source points.  Raises ValueError when the grid is not
+    log-uniform.
     """
     grid = grid or default_grid()
     pts, w = grid.points, grid.weights
     zs = list(zs)
-    leads = []
-    for z in zs:
-        lam_lead = w * np.asarray(lambda_density(lam, a, z, pts))
-        q_lead = w * np.asarray(q_density(lam, a, z, pts))
+    lam_leads = np.array([w * np.asarray(lambda_density(lam, a, z, pts)) for z in zs])
+    q_leads = np.array([w * np.asarray(q_density(lam, a, z, pts)) for z in zs])
+    for z, lam_lead, q_lead in zip(zs, lam_leads, q_leads):
         for lead in (lam_lead, q_lead):
             if abs(float(lead.sum()) - 1.0) > 1e-8:
                 raise GridCoverageError(
                     f"kernel from source {z} poorly covered by the grid")
-        leads.append((lam_lead, q_lead))
-    worst = np.zeros(len(zs))
-    for i in range(0, pts.size, chunk):
-        block = pts[i:i + chunk]
-        p_block = np.asarray(p_density(lam, a, pts[:, None], block[None, :]))
-        l_block = np.asarray(lambda_density(lam, a, pts[:, None], block[None, :]))
-        for j, (lam_lead, q_lead) in enumerate(leads):
-            diff = lam_lead @ p_block - q_lead @ l_block
-            worst[j] = max(worst[j], float(np.max(np.abs(diff))))
+    diff = (_apply_p(lam, a, lam_leads, pts)
+            - _apply_kernel(q_leads, partial(lambda_density, lam, a), pts))
+    worst = np.max(np.abs(diff), axis=-1)
     return {z: float(r) for z, r in zip(zs, worst)}
 
 
@@ -256,19 +300,14 @@ def check_intertwining(lam: float, a: float, z: float,
 
 
 def check_stationarity(lam: float, a: float,
-                       grid: LogGrid | None = None,
-                       chunk: int = 512) -> float:
+                       grid: LogGrid | None = None) -> float:
     """Sup-norm residual of int pi(x) ktilde(x, y) dx - pi(y) on the grid."""
     if lam <= 0.0:
         raise ValueError("stationarity check requires lambda > 0")
     grid = grid or default_grid()
     pts, w = grid.points, grid.weights
     lead = w * np.asarray(pi_density(lam, a, pts))
-    out = np.empty_like(pts)
-    for i in range(0, pts.size, chunk):
-        block = pts[i:i + chunk]
-        out[i:i + chunk] = lead @ np.asarray(
-            ktilde_density(lam, a, pts[:, None], block[None, :]))
+    out = _apply_kernel(lead, partial(ktilde_density, lam, a), pts)
     return float(np.max(np.abs(out - pi_density(lam, a, pts))))
 
 

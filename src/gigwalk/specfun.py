@@ -115,9 +115,12 @@ def log_bessel_k_quadrature(order, argument):
     def shifted(u):
         return np.exp(nu * u - z * np.cosh(u) - peak)
 
-    # crude outer bound: z*cosh(u) alone must eat ~800 nats past the peak
+    # crude outer bound: z*cosh(u) alone must eat ~800 nats past the peak.
+    # Left of the peak (ustar >= 0) the integrand decays only at rate nu
+    # until z*cosh(u) grows again, so the interval must hold all of
+    # |u| < reach, where z*cosh(u) is still small.
     reach = np.arccosh(1.0 + (800.0 + 60.0 * (1.0 + nu)) / z) + 2.0
-    lo, hi = ustar - reach, ustar + reach
+    lo, hi = -reach, ustar + reach
     val, _ = integrate.quad(shifted, lo, hi, points=[ustar], limit=300,
                             epsabs=1e-14, epsrel=1e-12)
     return peak + np.log(0.5 * val)

@@ -13,6 +13,7 @@ streams, so results are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -249,6 +250,8 @@ class BrownianConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.drift, self.t, self.dt))):
+            raise ValueError("drift, t and dt must be finite")
         if not (0.0 < self.dt < self.t):
             raise ValueError("need 0 < dt < t")
 

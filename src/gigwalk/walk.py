@@ -13,6 +13,7 @@ and reconstruction checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,8 @@ class WalkConfig:
     def __post_init__(self):
         if not self.gig.is_symmetric:
             raise ValueError("walk increments use the symmetric GIG(lam, a, a) law")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError("delta must be positive and finite")
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
 

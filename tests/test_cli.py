@@ -128,3 +128,10 @@ def test_exit_codes(tmp_path):
     assert code == 1
     records = json.loads(out.read_text())
     assert any(not r["pass"] for r in records)
+
+
+def test_non_finite_parameter_exits_2(capsys):
+    # fails fast as a usage error instead of spinning the GIG rejection sampler
+    assert run(["dufresne", "--lambda", "nan", "--a", "1", "--samples", "1000",
+                "--workers", "1"]) == 2
+    assert "finite" in capsys.readouterr().err

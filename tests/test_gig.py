@@ -47,6 +47,16 @@ def test_domain_errors():
         gig_scale(GigParams(1.0, 1.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite(bad):
+    for args in [(bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)]:
+        with pytest.raises(ValueError, match="finite"):
+            GigParams(*args)
+    for args in [(bad, 1.0), (1.0, bad)]:
+        with pytest.raises(ValueError, match="finite"):
+            InvGammaParams(*args)
+
+
 def test_scale_rules():
     assert gig_scale(GigParams(1.0, 2.0, 3.0), 1.0) == GigParams(1.0, 2.0, 3.0)
     assert gig_scale(GigParams(1.0, 1.0, 1.0), 4.0) == GigParams(1.0, 2.0, 0.5)

@@ -1,15 +1,19 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy import optimize
 from scipy import stats as spstats
 
+from gigwalk import kernels
 from gigwalk.gig import GigParams, gig_pdf, gig_sample, gig_scale
 from gigwalk.kernels import (GridCoverageError, KernelDensity, LogGrid,
-                             characterization_discrepancy,
+                             _apply_p, characterization_discrepancy,
                              check_detailed_balance, check_intertwining,
                              check_stationarity, compose,
                              conditional_x2_given_z2,
-                             conditional_x3_given_z3_z2, ktilde_density,
+                             conditional_x3_given_z3_z2,
+                             intertwining_residuals, ktilde_density,
                              lambda_density, my_generator_coefficients,
                              p_density, pi_density, q_density, residual_record)
 from gigwalk.stats import ks_one_sample
@@ -147,6 +151,43 @@ def test_compose_boundary_diagnostic():
 def test_intertwining_residuals():
     assert check_intertwining(1.0, 1.0, 1.0, GRID) < 1e-6
     assert check_intertwining(0.5, 2.0, 3.0, GRID) < 1e-6
+
+
+@pytest.mark.parametrize("lo, hi", [(1e-6, 1e6), (1e-4, 1e5)])
+@pytest.mark.parametrize("n", [301, 800])
+def test_kernel_application_matches_dense_blocks(lo, hi, n, monkeypatch):
+    # reference route: tabulate each n x n kernel block in full
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 7 * n)  # many row blocks
+    grid = LogGrid.make(lo, hi, n)
+    pts, w = grid.points, grid.weights
+    src, tgt = pts[:, None], pts[None, :]
+    zs = (0.2, 1.0, 5.0)
+    for lam, a in [(1.0, 1.0), (3.0, 0.8), (0.5, 2.0), (-0.7, 1.5)]:
+        lam_leads = np.array([w * lambda_density(lam, a, z, pts) for z in zs])
+        q_leads = np.array([w * q_density(lam, a, z, pts) for z in zs])
+        lp = lam_leads @ p_density(lam, a, src, tgt)
+        ql = q_leads @ lambda_density(lam, a, src, tgt)
+        assert np.max(np.abs(_apply_p(lam, a, lam_leads, pts) - lp)) < 1e-14
+        got = list(intertwining_residuals(lam, a, zs, grid).values())
+        assert np.max(np.abs(got - np.max(np.abs(lp - ql), axis=1))) < 1e-14
+        assert np.max(np.abs(compose(partial(lambda_density, lam, a),
+                                     partial(lambda_density, lam, a), 1.0, grid)
+                             - w * lambda_density(lam, a, 1.0, pts)
+                             @ lambda_density(lam, a, src, tgt))) < 1e-14
+        if lam > 0.0:
+            pi = pi_density(lam, a, pts)
+            dense = np.max(np.abs(w * pi @ ktilde_density(lam, a, src, tgt) - pi))
+            assert abs(check_stationarity(lam, a, grid) - dense) < 1e-14
+
+
+def test_p_convolution_rejects_non_log_uniform_grid():
+    grid = LogGrid.make(n=801)
+    bent = LogGrid(grid.points * (1.0 + 1e-9 * np.sin(np.arange(grid.size))),
+                   grid.weights, grid.lo, grid.hi)
+    with pytest.raises(ValueError, match="log-uniform"):
+        intertwining_residuals(1.0, 1.0, [1.0], bent)
+    with pytest.raises(ValueError, match="log-uniform"):
+        _apply_p(1.0, 1.0, np.ones((1, 801)), np.linspace(1e-2, 1e2, 801))
 
 
 def test_intertwining_sensitivity_to_perturbed_link():

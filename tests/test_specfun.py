@@ -4,7 +4,8 @@ from scipy import integrate
 
 from gigwalk.kernels import LogGrid
 from gigwalk.specfun import (AsymptoticSeries, bessel_k, bessel_k_quadrature,
-                             bessel_k_small_z, log_bessel_k, log_gamma,
+                             bessel_k_small_z, log_bessel_k,
+                             log_bessel_k_quadrature, log_gamma,
                              watson_partial_sum)
 
 # closed form K_{1/2}(z) = sqrt(pi/(2z)) e^{-z} at z = 2
@@ -15,6 +16,15 @@ def test_bessel_k_half_closed_form():
     assert bessel_k(0.5, 2.0) == pytest.approx(K_HALF_AT_2, rel=1e-12)
     # cross-check by quadrature of the integral representation
     assert bessel_k_quadrature(0.5, 2.0) == pytest.approx(K_HALF_AT_2, rel=1e-10)
+
+
+@pytest.mark.parametrize("z", [1e-8, 1e-4, 1.0, 50.0])
+def test_quadrature_oracle_half_order_closed_form(z):
+    # K_{1/2}(z) = sqrt(pi/(2z)) e^{-z}; at small z the integrand stays flat
+    # far to the left of its peak
+    closed = 0.5 * np.log(np.pi / (2.0 * z)) - z
+    for route in (log_bessel_k_quadrature, log_bessel_k):
+        assert np.exp(route(0.5, z) - closed) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_bessel_k_order_symmetry_exact():

@@ -128,6 +128,9 @@ def test_donsker_small():
 def test_brownian_config_validation():
     with pytest.raises(ValueError):
         BrownianConfig(0.0, 1.0, 2.0)
+    for args in [(np.nan, 1.0, 0.1), (0.0, np.inf, 0.1), (0.0, 1.0, np.nan)]:
+        with pytest.raises(ValueError, match="finite"):
+            BrownianConfig(*args)
 
 
 def test_continuous_simulator_deterministic_injection():

@@ -15,6 +15,12 @@ from gigwalk.walk import (DivergenceError, InsufficientTailError,
 SEED = 31415926
 
 
+@pytest.mark.parametrize("delta", [np.nan, np.inf])
+def test_walk_config_rejects_non_finite_delta(delta):
+    with pytest.raises(ValueError, match="finite"):
+        WalkConfig(GigParams.symmetric(1.0, 1.0), delta, 10, 0)
+
+
 def random_path(lam, a, steps, seed, delta=1.0):
     config = WalkConfig(GigParams.symmetric(lam, a), delta, steps, seed)
     return simulate_path(config)
