@@ -142,15 +142,18 @@ def _sample_log_symmetric(lam: float, c: float, rng, size: int) -> np.ndarray:
     out = np.empty(size)
     pending = np.arange(size)
     rounds = 0
-    while pending.size:
-        rounds += 1
-        if rounds > 10_000:  # unreachable for valid params; guards rng misuse
-            raise RuntimeError("GIG rejection sampler failed to terminate")
-        t = tstar + sd * rng.standard_normal(pending.size)
-        log_accept = lam * t - c * np.cosh(t) - psistar + 0.5 * c * (t - tstar) ** 2
-        accept = np.log(rng.random(pending.size)) < log_accept
-        out[pending[accept]] = t[accept]
-        pending = pending[~accept]
+    # a cosh that overflows (|t| > 710, reached at small c) gives log_accept =
+    # -inf: a correct rejection, so the warning is silenced for the whole call
+    with np.errstate(over="ignore"):
+        while pending.size:
+            rounds += 1
+            if rounds > 10_000:  # unreachable for valid params; guards rng misuse
+                raise RuntimeError("GIG rejection sampler failed to terminate")
+            t = tstar + sd * rng.standard_normal(pending.size)
+            log_accept = lam * t - c * np.cosh(t) - psistar + 0.5 * c * (t - tstar) ** 2
+            accept = np.log(rng.random(pending.size)) < log_accept
+            out[pending[accept]] = t[accept]
+            pending = pending[~accept]
     return out
 
 

@@ -15,21 +15,27 @@ for these doubly-exponentially decaying integrands, so the certified
 identities (Lambda P = Q Lambda, pi Ktilde = pi, detailed balance) are
 limited only by double precision.
 
-A composition "lead @ kernel block" never holds the whole n x n block:
-_apply_kernel evaluates the kernel over small row blocks of source points
-and accumulates, so the temporaries stay small and every per-source term
-(such as the Bessel normalizer of Lambda) is computed once.  P is never tabulated
-as a block at all: P(x, y) = P(1, y/x)/x, and on a log-uniform grid y_j/x_i
-depends only on j - i, so Lambda P is a Toeplitz convolution against one
-row of 2n - 1 values of P(1, .).
+A composition "lead @ kernel" never holds the whole n x n block:
+_apply_kernel takes the kernel in blocks of a few targets, each row holding
+one target's values over every source, and fills the output slice by slice.
+The structured passes build their blocks from 1-D tables, leaving one exp
+per element.  Lambda's log-density is a source term plus a target term
+plus a source term times a target term (a rank-one exponent; the Bessel
+normalizers are one call over the grid).  Ktilde depends on x y through
+s = sqrt(1 + 4xy) and otherwise on y alone, and on a log-uniform grid
+x_i y_j depends only on i + j, so its x y terms are tables over the 2n - 1
+values of i + j.  P is never tabulated as a block at all: P(x, y) =
+P(1, y/x)/x, and on a log-uniform grid y_j/x_i depends only on j - i, so
+Lambda P is a Toeplitz convolution against one row of
+2n - 1 values of P(1, .).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .gig import InvGammaParams, inverse_gamma_pdf
 from .specfun import log_bessel_k
@@ -204,27 +210,99 @@ class KernelDensity:
 
 
 # largest kernel block evaluated at once: 2**14 doubles, 128 KiB.  The
-# temporaries of a density evaluation then stay below glibc's default
-# 128 KiB mmap threshold and are reused from the heap.  Larger blocks were
-# mapped afresh and page-faulted in on every block (78k-92k minor faults per
-# n = 4000 Ktilde pass, 2**15 to 2**19); smaller ones pay more per-call
-# overhead.
+# temporaries of a block then stay below glibc's default 128 KiB mmap
+# threshold and are reused from the heap.  Larger blocks were mapped afresh
+# and page-faulted in on every block (78k-92k minor faults per n = 4000
+# Ktilde pass, 2**15 to 2**19); smaller ones pay more per-call overhead.
 _BLOCK_ELEMENTS = 1 << 14
 
 
-def _apply_kernel(leads, kernel, pts: np.ndarray) -> np.ndarray:
-    """leads @ [kernel(pts[i], pts[j])]_ij without forming the n x n block.
+def _apply_kernel(leads, block, n: int) -> np.ndarray:
+    """leads @ K without forming the n x n kernel K.
 
-    leads has shape (..., n).  The kernel is evaluated over row blocks of
-    source points, at most _BLOCK_ELEMENTS at a time, and the partial
-    products are accumulated.
+    leads has shape (..., n) and block(i, j) returns the columns i:j of K
+    transposed, K[:, i:j].T: the kernel from every source to the targets i:j,
+    one target per row.  Blocks of at most _BLOCK_ELEMENTS give the output
+    slices i:j in turn.  Each row is contiguous along the sources, which is
+    the summed axis, so a block costs one matrix product with a long inner
+    dimension; at n = 4000 these products run 4x (one lead) to 8x (three
+    leads) faster than those of blocks of a few source rows.
     """
-    out = np.zeros(leads.shape[:-1] + pts.shape)
-    rows = max(1, _BLOCK_ELEMENTS // pts.size)
-    for i in range(0, pts.size, rows):
-        src = pts[i:i + rows]
-        out += leads[..., i:i + rows] @ np.asarray(kernel(src[:, None], pts[None, :]))
+    out = np.empty(leads.shape[:-1] + (n,))
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        out[..., i:j] = leads @ block(i, j).T
     return out
+
+
+def _require_log_uniform(pts: np.ndarray) -> None:
+    """Raise ValueError unless pts is log-uniform (as from LogGrid.make)."""
+    n = pts.size
+    u = np.log(pts)
+    uniform = u[0] + (u[-1] - u[0]) / (n - 1) * np.arange(n)
+    if np.max(np.abs(u - uniform)) > 1e-12 * max(1.0, np.max(np.abs(u))):
+        raise ValueError("the P and Ktilde passes use the structure of a "
+                         "log-uniform grid; build it with LogGrid.make")
+
+
+def _lambda_rows(lam: float, a: float, pts: np.ndarray):
+    """Target blocks (see _apply_kernel) of [Lambda(pts[i], pts[j])]_ij.
+
+    log Lambda(z, x) = norm_z + power_x - slope_z * t_x with t = x + 1/x: a
+    rank-one exponent, so the Bessel normalizer of every source z is one
+    log_bessel_k call over pts.  The operations are those of lambda_density,
+    so the blocks are bit-identical to it.
+    """
+    a2 = a * a
+    norm = -np.log(2.0) - log_bessel_k(lam, a2 / pts)
+    slope = 0.5 * (a2 / pts)
+    power = (lam - 1.0) * np.log(pts)
+    t = pts + 1.0 / pts
+
+    def block(i, j):
+        logv = norm + power[i:j, None]
+        logv -= slope * t[i:j, None]
+        return np.exp(logv, out=logv)
+
+    return block
+
+
+def _ktilde_rows(lam: float, a: float, pts: np.ndarray):
+    """Target blocks (see _apply_kernel) of [Ktilde(pts[i], pts[j])]_ij.
+
+    With s = sqrt(1 + 4xy) and gamma = 2y/(1 + s), so that gamma + 1/gamma =
+    2y/(1 + s) + (1 + s)/(2y), the log-density of ktilde_density is
+
+        H(xy) + c_y - a^2 y / (1 + s) - a^2 (1 + s) / (4y),
+        H = -log s + (lam + 1) log(1 + s),
+        c_y = -log 2 - log K_lam(a^2) - (lam + 1)(log 2 + log y).
+
+    On a log-uniform grid pts[i] * pts[j] depends only on m = i + j, so H,
+    1/(1 + s) and 1 + s are tables over the 2n - 1 values of m, read through
+    Hankel views, and the rest are terms of the target y; a block costs one
+    exp per element.  Raises ValueError when pts is not log-uniform.
+    """
+    _require_log_uniform(pts)
+    n = pts.size
+    a2 = a * a
+    xy = np.concatenate((pts[0] * pts, pts[-1] * pts[1:]))
+    s = np.sqrt(1.0 + 4.0 * xy)
+    h = sliding_window_view(-np.log(s) + (lam + 1.0) * np.log1p(s), n)
+    inv = sliding_window_view(1.0 / (1.0 + s), n)
+    one_s = sliding_window_view(1.0 + s, n)
+    c = (-np.log(2.0) - log_bessel_k(lam, a2)
+         - (lam + 1.0) * (np.log(2.0) + np.log(pts)))
+    ay, by = -a2 * pts, -a2 / (4.0 * pts)
+
+    def block(i, j):
+        logv = inv[i:j] * ay[i:j, None]
+        logv += one_s[i:j] * by[i:j, None]
+        logv += h[i:j]
+        logv += c[i:j, None]
+        return np.exp(logv, out=logv)
+
+    return block
 
 
 def _apply_p(lam: float, a: float, leads, pts: np.ndarray) -> np.ndarray:
@@ -236,12 +314,7 @@ def _apply_p(lam: float, a: float, leads, pts: np.ndarray) -> np.ndarray:
     terms of a direct convolution, n^2 multiply-adds per row of leads.
     Raises ValueError when the grid is not log-uniform.
     """
-    n = pts.size
-    u = np.log(pts)
-    uniform = u[0] + (u[-1] - u[0]) / (n - 1) * np.arange(n)
-    if np.max(np.abs(u - uniform)) > 1e-12 * max(1.0, np.max(np.abs(u))):
-        raise ValueError("the P kernel is applied as a convolution and needs "
-                         "a log-uniform grid such as LogGrid.make")
+    _require_log_uniform(pts)
     ratios = np.concatenate((pts[0] / pts[:0:-1], pts / pts[0]))
     phi = np.asarray(p_density(lam, a, 1.0, ratios))
     return np.array([np.convolve(phi, c, mode="valid") for c in leads / pts])
@@ -264,7 +337,8 @@ def compose(first, second, source: float, grid: LogGrid | None = None) -> np.nda
         raise GridCoverageError(
             f"intermediate law poorly covered: boundary mass {edge:.2e}, "
             f"total mass {total:.6f}; widen the grid")
-    return _apply_kernel(lead, second, pts)
+    return _apply_kernel(lead, lambda i, j: second(pts[None, :], pts[i:j, None]),
+                         pts.size)
 
 
 def intertwining_residuals(lam: float, a: float, zs,
@@ -273,9 +347,9 @@ def intertwining_residuals(lam: float, a: float, zs,
 
     Lambda P is a Toeplitz convolution on the log-uniform grid (see
     _apply_p), with P evaluated once on the 2n - 1 grid ratios; Q Lambda
-    takes one row-blocked pass of the Lambda kernel (_apply_kernel) shared
-    by all source points.  Raises ValueError when the grid is not
-    log-uniform.
+    takes one blocked pass of the Lambda kernel (_apply_kernel) shared by
+    all source points, its blocks built from per-source and per-target terms
+    (_lambda_rows).  Raises ValueError when the grid is not log-uniform.
     """
     grid = grid or default_grid()
     pts, w = grid.points, grid.weights
@@ -287,8 +361,9 @@ def intertwining_residuals(lam: float, a: float, zs,
             if abs(float(lead.sum()) - 1.0) > 1e-8:
                 raise GridCoverageError(
                     f"kernel from source {z} poorly covered by the grid")
-    diff = (_apply_p(lam, a, lam_leads, pts)
-            - _apply_kernel(q_leads, partial(lambda_density, lam, a), pts))
+    with np.errstate(over="ignore"):
+        q_lambda = _apply_kernel(q_leads, _lambda_rows(lam, a, pts), pts.size)
+    diff = _apply_p(lam, a, lam_leads, pts) - q_lambda
     worst = np.max(np.abs(diff), axis=-1)
     return {z: float(r) for z, r in zip(zs, worst)}
 
@@ -301,13 +376,20 @@ def check_intertwining(lam: float, a: float, z: float,
 
 def check_stationarity(lam: float, a: float,
                        grid: LogGrid | None = None) -> float:
-    """Sup-norm residual of int pi(x) ktilde(x, y) dx - pi(y) on the grid."""
+    """Sup-norm residual of int pi(x) ktilde(x, y) dx - pi(y) on the grid.
+
+    One blocked pass of the Ktilde kernel (_apply_kernel) whose blocks come
+    from tables over i + j and over the target y (_ktilde_rows): on a
+    log-uniform grid x_i y_j depends only on i + j.  Raises ValueError when
+    lambda <= 0 or the grid is not log-uniform.
+    """
     if lam <= 0.0:
         raise ValueError("stationarity check requires lambda > 0")
     grid = grid or default_grid()
     pts, w = grid.points, grid.weights
     lead = w * np.asarray(pi_density(lam, a, pts))
-    out = _apply_kernel(lead, partial(ktilde_density, lam, a), pts)
+    with np.errstate(over="ignore"):
+        out = _apply_kernel(lead, _ktilde_rows(lam, a, pts), pts.size)
     return float(np.max(np.abs(out - pi_density(lam, a, pts))))
 
 

@@ -103,8 +103,13 @@ def kolmogorov_critical(alpha: float, n: int, m: int | None = None) -> float:
 
 def _values(sample) -> np.ndarray:
     if isinstance(sample, EmpiricalSample):
-        return sample.values
-    return np.sort(np.asarray(sample, dtype=float))
+        xs = sample.values
+    else:
+        xs = np.sort(np.asarray(sample, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("sample holds non-finite values: numerical overflow "
+                         "upstream, not a statistical verdict")
+    return xs
 
 
 def ks_one_sample(sample, cdf, alpha: float = 0.01) -> KsResult:

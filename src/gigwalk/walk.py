@@ -310,7 +310,8 @@ def reconstruct_x_finite(zs, n_future: float) -> float:
         raise ValueError("need at least Z_n")
     if np.any(zs <= 0.0) or n_future <= 0.0:
         raise ValueError("inputs must be positive")
-    series = np.sum(1.0 / (zs[:-1] * zs[1:]))
+    with np.errstate(over="ignore"):  # Z_k Z_(k+1) = inf adds 1/inf = 0, exact
+        series = np.sum(1.0 / (zs[:-1] * zs[1:]))
     return float(zs[0] / n_future + zs[0] * series)
 
 

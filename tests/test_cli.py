@@ -135,3 +135,13 @@ def test_non_finite_parameter_exits_2(capsys):
     assert run(["dufresne", "--lambda", "nan", "--a", "1", "--samples", "1000",
                 "--workers", "1"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowed_walk_exits_2_not_a_ks_verdict(tmp_path, capsys):
+    # at lambda = 2, a = 0.5 the batched walk overflows to NaN by step 1000 on
+    # every path; two samples are the fewest the KS machinery accepts
+    assert run(["converge", "--lambda", "2", "--a", "0.5", "--steps", "1000",
+                "--samples", "2", "--workers", "1",
+                "--out", str(tmp_path / "c.json")]) == 2
+    assert "overflow" in capsys.readouterr().err

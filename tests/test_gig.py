@@ -74,6 +74,16 @@ def test_sampler_positive_and_deterministic():
     assert np.array_equal(draws, again)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_sampler_small_a_without_overflow_warnings(lam):
+    # at a = 1e-3 proposals reach |log x| > 710, where cosh overflows to a
+    # log-acceptance of -inf: a correct rejection that must not warn
+    draws = gig_sample(GigParams.symmetric(lam, 1e-3), np.random.default_rng(SEED),
+                       10**4)
+    assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
+
+
 @pytest.mark.parametrize("lam,a,b", [
     (1.0, 1.0, 1.0), (0.5, 2.0, 2.0), (2.0, 0.5, 0.5),
     (-1.5, 1.0, 1.0), (0.0, 1.5, 1.5), (2.0, 1.0, 3.0),

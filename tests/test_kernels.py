@@ -2,13 +2,16 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 from scipy import stats as spstats
 
 from gigwalk import kernels
 from gigwalk.gig import GigParams, gig_pdf, gig_sample, gig_scale
 from gigwalk.kernels import (GridCoverageError, KernelDensity, LogGrid,
-                             _apply_p, characterization_discrepancy,
+                             _apply_p, _ktilde_rows, _lambda_rows,
+                             characterization_discrepancy,
                              check_detailed_balance, check_intertwining,
                              check_stationarity, compose,
                              conditional_x2_given_z2,
@@ -188,6 +191,56 @@ def test_p_convolution_rejects_non_log_uniform_grid():
         intertwining_residuals(1.0, 1.0, [1.0], bent)
     with pytest.raises(ValueError, match="log-uniform"):
         _apply_p(1.0, 1.0, np.ones((1, 801)), np.linspace(1e-2, 1e2, 801))
+
+
+def test_stationarity_rejects_non_log_uniform_grid():
+    grid = LogGrid.make(n=801)
+    bent = LogGrid(grid.points * (1.0 + 1e-9 * np.sin(np.arange(grid.size))),
+                   grid.weights, grid.lo, grid.hi)
+    with pytest.raises(ValueError, match="log-uniform"):
+        check_stationarity(1.0, 1.0, bent)
+
+
+def _table_grid(n, log_lo, log_hi):
+    return LogGrid.make(10.0 ** log_lo, 10.0 ** log_hi, n).points
+
+
+def _target_blocks(rows, n, split):
+    # two target blocks, so that a block not starting at row 0 is covered
+    return np.vstack([rows(0, split), rows(split, n)])
+
+
+_TABLE_CASES = dict(a=st.floats(0.3, 3.0), n=st.integers(50, 400),
+                    log_lo=st.floats(-6.0, -1.0), log_hi=st.floats(1.0, 6.0),
+                    split=st.floats(0.0, 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.floats(-3.0, 3.0), **_TABLE_CASES)
+def test_lambda_table_blocks_match_pointwise_density(lam, a, n, log_lo, log_hi,
+                                                     split):
+    pts = _table_grid(n, log_lo, log_hi)
+    with np.errstate(over="ignore"):
+        got = _target_blocks(_lambda_rows(lam, a, pts), n, int(split * n))
+    ref = lambda_density(lam, a, pts[None, :], pts[:, None])
+    live = ref > 1e-250
+    assert np.all(np.abs(got[live] / ref[live] - 1.0) <= 1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.floats(1e-3, 3.0), **_TABLE_CASES)
+def test_ktilde_table_blocks_match_pointwise_density(lam, a, n, log_lo, log_hi,
+                                                     split):
+    pts = _table_grid(n, log_lo, log_hi)
+    with np.errstate(over="ignore"):
+        got = _target_blocks(_ktilde_rows(lam, a, pts), n, int(split * n))
+    ref = ktilde_density(lam, a, pts[None, :], pts[:, None])
+    live = ref > 1e-250
+    # the tables read x_i y_j at the grid index i + j, and the rounded grid
+    # points make the product differ from pts[i] * pts[j] by a few ulp; exp
+    # turns that into a relative error proportional to the log-density
+    bound = 1e-13 * np.maximum(1.0, np.abs(np.log(ref[live])))
+    assert np.all(np.abs(got[live] / ref[live] - 1.0) <= bound)
 
 
 def test_intertwining_sensitivity_to_perturbed_link():

@@ -66,6 +66,18 @@ def test_ks_two_sample_null_shifted_degenerate():
     assert 0.0 <= tiny.statistic <= 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_rejects_non_finite_samples(bad):
+    # an overflowed sample must not come back as a KS statistic
+    draws = np.array([0.1, 0.5, bad, 2.0])
+    with pytest.raises(ValueError, match="overflow"):
+        ks_one_sample(draws, special.ndtr)
+    with pytest.raises(ValueError, match="overflow"):
+        ks_two_sample(draws, np.array([0.2, 0.3]))
+    with pytest.raises(ValueError, match="overflow"):
+        ks_two_sample(np.array([0.2, 0.3]), EmpiricalSample.from_draws(draws, 1))
+
+
 def test_dufresne_null_and_power():
     res = dufresne_test(1.0, np.sqrt(2.0), 30000, SEED)
     assert res.passed, f"KS={res.statistic}"

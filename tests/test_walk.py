@@ -289,6 +289,13 @@ def test_reconstruct_finite_random_path():
     assert val == pytest.approx(path.xs[n - 1], rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
+def test_reconstruct_finite_overflowing_products_are_silent():
+    # Z_1 Z_2 = inf contributes 1/inf = 0, which is exact in double precision
+    val = reconstruct_x_finite([1.0, 1e200, 1e200, 2.0], 4.0)
+    assert val == 1.0 / 4.0 + (1.0 / 1e200 + 0.0 + 1.0 / 2e200)
+
+
 def test_reconstruct_limit_negative_drift_closed_form():
     # gamma = 1/2 gives Z_n = (2/3)(2^n - 2^-n) and X_n = 2^-n exactly
     n0 = 4
