@@ -45,7 +45,7 @@ for lam in (0.5, 1.0, 2.0):
     print(f"  lam={lam}: max |pi(x)K(x,y)/(pi(y)K(y,x)) - 1| = {dev:.2e}")
 print()
 for lam, a in [(1.0, np.sqrt(2.0)), (3.0, 0.8)]:
-    res = check_stationarity(lam, a, GRID)
+    res = check_stationarity(lam, a)  # on a grid over pi's quantiles
     print(f"  lam={lam}, a={a:.3f}: sup |pi K - pi| = {res:.2e}")
 print()
 print("stationary density at a few points (inverse-gamma):")

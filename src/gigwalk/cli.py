@@ -78,8 +78,13 @@ def _cmd_simulate(args):
     return [], True
 
 
+def _grid(args):
+    """The --grid-points grid, or None: each check then sizes its own."""
+    return None if args.grid_points is None else LogGrid.make(n=args.grid_points)
+
+
 def _kernel_records(args, z_sources):
-    grid = LogGrid.make(n=args.grid_points)
+    grid = _grid(args)
     tol_int = args.tol if args.tol is not None else 1e-6
     records = []
     residuals, ms = _timed(lambda: kernels.intertwining_residuals(
@@ -119,7 +124,7 @@ def _cmd_dufresne(args):
 def _cmd_characterize(args):
     from scipy import stats as spstats
 
-    grid = LogGrid.make(n=args.grid_points)
+    grid = _grid(args)
     params = GigParams.symmetric(args.lam, args.a)
     laws = [
         ("gig", lambda x: gig_pdf(params, x), 1e-7, True),
@@ -244,8 +249,11 @@ def _build_parser():
                        help=f"walk length (default {steps})")
         p.add_argument("--samples", type=int, default=samples,
                        help=f"Monte Carlo sample count (default {samples})")
-        p.add_argument("--grid-points", type=int, default=4000,
-                       help="log-grid size for quadrature (default 4000)")
+        p.add_argument("--grid-points", type=int, default=None,
+                       help="log-grid size over [1e-6, 1e6] for every kernel "
+                            "check (default: grids sized by the law, 1000 "
+                            "points over [1e-6, 1e6], more where a is large, "
+                            "and pi's quantiles for stationarity)")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed; falls back to GIGWALK_SEED, "
                             f"then {DEFAULT_SEED}")

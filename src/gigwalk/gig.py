@@ -133,8 +133,10 @@ def _sample_log_symmetric(lam: float, c: float, rng, size: int) -> np.ndarray:
     mode t* = asinh(lam/c): a N(t*, 1/c) proposal dominates, every trial
     accepts with the fixed probability
         p = 2 K_lam(c) exp(c cosh t* - lam t*) sqrt(c / (2 pi)) > 0,
-    (above ~0.25 throughout |lam| <= 5, c >= 0.2 and tending to 1 for large
-    c), so the loop terminates a.s. with geometric tail.
+    so the loop terminates a.s. with geometric tail.  p is at least 0.2
+    throughout |lam| <= 5, c >= 0.2 and tends to 1 for large c, but it falls
+    like sqrt(c) as c -> 0 (7.4e-4 at lam = 2, c = 1e-6, i.e. a = 1e-3):
+    after 10,000 rounds the draw gives up with ValueError.
     """
     tstar = float(np.arcsinh(lam / c))
     psistar = lam * tstar - c * np.cosh(tstar)
@@ -147,8 +149,11 @@ def _sample_log_symmetric(lam: float, c: float, rng, size: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         while pending.size:
             rounds += 1
-            if rounds > 10_000:  # unreachable for valid params; guards rng misuse
-                raise RuntimeError("GIG rejection sampler failed to terminate")
+            if rounds > 10_000:  # reached by valid parameters at small c
+                raise ValueError(
+                    f"GIG rejection sampler gave up after 10000 rounds at "
+                    f"lam={lam:g}, c={c:g} with {pending.size} draws left: "
+                    f"acceptance per round is too low at these parameters")
             t = tstar + sd * rng.standard_normal(pending.size)
             log_accept = lam * t - c * np.cosh(t) - psistar + 0.5 * c * (t - tstar) ** 2
             accept = np.log(rng.random(pending.size)) < log_accept

@@ -15,6 +15,25 @@ for these doubly-exponentially decaying integrands, so the certified
 identities (Lambda P = Q Lambda, pi Ktilde = pi, detailed balance) are
 limited only by double precision.
 
+Grids are sized by what the integrand needs, not by a point count.  The
+log step LOG_STEP is an eighth of the step at which a certified residual
+first breaks (1.6e-8 for intertwining at 125 points over [1e-6, 1e6],
+against 1e-15 at 250), so the default span [1e-6, 1e6] gets 1000 points.
+That step is certified for integrands no sharper than the sharpest one of
+the acceptance points; intertwining_residuals and check_stationarity work
+the width of their integrands out from (lam, a) and the sources, and a
+sharper integrand gets a step shrunk in proportion to its log-width
+(_step_for), so that every integrand gets as many points per width.  The
+GIG characterization discrepancy needs no such sizing: its two conditionals
+are one function up to a constant factor, so the quadrature errors of their
+normalizers cancel.
+
+The span is sized by the law being integrated: the kernels from the
+certified source points decay doubly exponentially inside [1e-6, 1e6], but
+pi = inverse-gamma(lam, a^2/2) has an x^(-lam-1) tail, so
+check_stationarity by default spans pi's PI_TAIL and 1 - PI_TAIL quantiles
+instead.
+
 A composition "lead @ kernel" never holds the whole n x n block:
 _apply_kernel takes the kernel in blocks of a few targets, each row holding
 one target's values over every source, and fills the output slice by slice.
@@ -36,6 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import gammainccinv, gammaincinv
 
 from .gig import InvGammaParams, inverse_gamma_pdf
 from .specfun import log_bessel_k
@@ -66,6 +86,42 @@ class GridCoverageError(ValueError):
     """Quadrature grid does not cover the mass of the integrand."""
 
 
+# log step of every grid sized by LogGrid.make: log(1e12)/999, so that the
+# default span [1e-6, 1e6] gets 1000 points.  Halving it moves no certified
+# residual by more than 1e-12 (tests/test_kernels.py); at 8x it does.
+LOG_STEP = float(np.log(1e12) / 999)
+# mass of pi left outside the default stationarity grid at each end
+PI_TAIL = 1e-14
+
+
+def _gig_curvature(lam: float, b: float) -> float:
+    """Curvature at the mode, in u = log x, of the log-density
+    (lam - 1) u - (b/2)(x + 1/x) of a GIG law: b cosh(u*) with b sinh(u*) =
+    lam.  Its inverse square root is the law's width in log x."""
+    return float(np.hypot(lam, b))
+
+
+def _intertwining_curvature(lam: float, a: float, z: float) -> float:
+    """Curvature in log y of the Lambda(z, y) P(y, .) integrand: that of
+    Lambda(z, .) = GIG(lam, a/sqrt(z), a/sqrt(z)) plus that of P(., v), a GIG
+    in b = a^2.  The Q(z, y) Lambda(y, .) integrand of the other side has the
+    same leading term a^2 (1 + 1/z)."""
+    return _gig_curvature(lam, a * a / z) + _gig_curvature(lam, a * a)
+
+
+# sharpest integrand of the points LOG_STEP is certified at: Lambda P from
+# z = 0.2 at lam = a = 2, a point of the acceptance suite and a corner of
+# the benchmark box [0.5, 2]^2 (its log-width is 0.20, 7.3 steps)
+_CERTIFIED_CURVATURE = _intertwining_curvature(2.0, 2.0, 0.2)
+
+
+def _step_for(curvature: float) -> float:
+    """LOG_STEP, shrunk in proportion to the log-width curvature^(-1/2) of a
+    sharper integrand than the certified one, so that it gets as many points
+    per width; the trapezoid error depends on the step through that ratio."""
+    return LOG_STEP * min(1.0, float(np.sqrt(_CERTIFIED_CURVATURE / curvature)))
+
+
 @dataclass(frozen=True)
 class LogGrid:
     """Log-spaced points with weights for integrals over (0, inf).
@@ -86,9 +142,22 @@ class LogGrid:
         return self.points.size
 
     @classmethod
-    def make(cls, lo: float = 1e-6, hi: float = 1e6, n: int = 4000) -> "LogGrid":
-        if not (0.0 < lo < hi) or n < 2:
-            raise ValueError("need 0 < lo < hi and n >= 2 grid points")
+    def make(cls, lo: float = 1e-6, hi: float = 1e6, n: int | None = None,
+             step: float | None = None) -> "LogGrid":
+        """n log-uniform points from lo to hi.
+
+        With n None, n = ceil(log(hi/lo) / step) + 1, step defaulting to
+        LOG_STEP, so the log step is at most step; a span within rounding of
+        a whole number of steps takes that number.  step is ignored when n
+        is given.
+        """
+        if not (0.0 < lo < hi < np.inf):
+            raise ValueError("need 0 < lo < hi < inf")
+        if n is None:
+            step = LOG_STEP if step is None else step
+            n = int(np.ceil((np.log(hi) - np.log(lo)) / step - 1e-9)) + 1
+        if n < 2:
+            raise ValueError("need n >= 2 grid points")
         u = np.linspace(np.log(lo), np.log(hi), n)
         pts = np.exp(u)
         du = u[1] - u[0]
@@ -345,15 +414,22 @@ def intertwining_residuals(lam: float, a: float, zs,
                            grid: LogGrid | None = None) -> dict[float, float]:
     """Sup-norm residuals of (Lambda P)(z, .) - (Q Lambda)(z, .) for several z.
 
+    Without a grid, the grid spans [1e-6, 1e6] with the step _step_for
+    gives the sharpest integrand, that from the smallest source: LOG_STEP
+    over the benchmark box lam, a in [0.5, 2] with z >= 0.2, and about in
+    proportion to 1/a at large a.
+
     Lambda P is a Toeplitz convolution on the log-uniform grid (see
     _apply_p), with P evaluated once on the 2n - 1 grid ratios; Q Lambda
     takes one blocked pass of the Lambda kernel (_apply_kernel) shared by
     all source points, its blocks built from per-source and per-target terms
     (_lambda_rows).  Raises ValueError when the grid is not log-uniform.
     """
-    grid = grid or default_grid()
-    pts, w = grid.points, grid.weights
     zs = list(zs)
+    _pos(zs, "z")
+    grid = grid or LogGrid.make(step=_step_for(max(
+        (_intertwining_curvature(lam, a, z) for z in zs), default=0.0)))
+    pts, w = grid.points, grid.weights
     lam_leads = np.array([w * np.asarray(lambda_density(lam, a, z, pts)) for z in zs])
     q_leads = np.array([w * np.asarray(q_density(lam, a, z, pts)) for z in zs])
     for z, lam_lead, q_lead in zip(zs, lam_leads, q_leads):
@@ -374,9 +450,44 @@ def check_intertwining(lam: float, a: float, z: float,
     return intertwining_residuals(lam, a, [z], grid)[z]
 
 
+def _pi_grid(lam: float, a: float) -> LogGrid:
+    """Log grid over the PI_TAIL and 1 - PI_TAIL quantiles of pi =
+    inverse-gamma(lam, beta), beta = a^2/2, with the step _step_for gives
+    the pi(x) Ktilde(x, .) integrand: LOG_STEP unless a or lam is large.
+
+    Its curvature in log x is lam, pi's at its mode, plus at most a quarter
+    of that of gamma ~ GIG(-lam, a, a): log gamma moves with log x at a rate
+    (s - 1)/(2s) < 1/2.
+
+    pi is beta / G with G ~ Gamma(lam, 1), so its quantiles are closed-form
+    gamma quantiles: lo = beta / Q^-1(lam, PI_TAIL) and hi = beta /
+    P^-1(lam, PI_TAIL), with P and Q the regularized incomplete gammas.  The
+    Ktilde tables hold 1 + 4xy up to 1 + 4 hi^2, so GridCoverageError is
+    raised when that leaves the double range (lam below about 0.09, where
+    the x^(-lam-1) tail reaches past 1e154): such a grid cannot hold the law.
+    """
+    beta = InvGammaParams(lam, 0.5 * a * a).scale  # rejects a = 0
+    lo = beta / gammainccinv(lam, PI_TAIL)
+    q = gammaincinv(lam, PI_TAIL)
+    log_hi = np.log(beta) - np.log(q) if q > 0.0 else np.inf
+    if not np.log(4.0) + 2.0 * log_hi < np.log(np.finfo(float).max):
+        raise GridCoverageError(
+            f"pi = inverse-gamma({lam:g}, {beta:g}) keeps mass {PI_TAIL:g} "
+            f"beyond exp({log_hi:.4g}), past the double range of the "
+            f"stationarity tables; pass a grid explicitly")
+    curvature = lam + 0.25 * _gig_curvature(lam, a * a)
+    return LogGrid.make(lo, float(np.exp(log_hi)), step=_step_for(curvature))
+
+
 def check_stationarity(lam: float, a: float,
                        grid: LogGrid | None = None) -> float:
     """Sup-norm residual of int pi(x) ktilde(x, y) dx - pi(y) on the grid.
+
+    Without a grid, the grid spans pi's PI_TAIL and 1 - PI_TAIL quantiles
+    with a step sized by the integrand (see _pi_grid), so that no more than
+    2 PI_TAIL of pi's mass is cut off; this raises GridCoverageError when lambda is so
+    small that pi's tail leaves the double range.  A grid passed in is used
+    as it is, whatever mass of pi it misses.
 
     One blocked pass of the Ktilde kernel (_apply_kernel) whose blocks come
     from tables over i + j and over the target y (_ktilde_rows): on a
@@ -385,7 +496,7 @@ def check_stationarity(lam: float, a: float,
     """
     if lam <= 0.0:
         raise ValueError("stationarity check requires lambda > 0")
-    grid = grid or default_grid()
+    grid = grid or _pi_grid(lam, a)
     pts, w = grid.points, grid.weights
     lead = w * np.asarray(pi_density(lam, a, pts))
     with np.errstate(over="ignore"):

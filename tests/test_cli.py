@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from gigwalk import kernels
 from gigwalk.cli import main
 
 
@@ -145,3 +146,48 @@ def test_overflowed_walk_exits_2_not_a_ks_verdict(tmp_path, capsys):
                 "--samples", "2", "--workers", "1",
                 "--out", str(tmp_path / "c.json")]) == 2
     assert "overflow" in capsys.readouterr().err
+
+
+def test_sampler_stall_exits_2(capsys):
+    assert run(["dufresne", "--lambda", "2", "--a", "0.001", "--samples", "1000",
+                "--workers", "1"]) == 2
+    assert "10000 rounds" in capsys.readouterr().err
+
+
+def test_stationarity_beyond_double_range_exits_2(tmp_path, capsys):
+    # pi = inverse-gamma(0.05, 1/2) keeps mass 1e-14 beyond exp(644)
+    assert run(["intertwine", "--lambda", "0.05", "--seed", "1",
+                "--out", str(tmp_path / "i.json")]) == 2
+    assert "double range" in capsys.readouterr().err
+
+
+def _grid_sizes(monkeypatch):
+    # the size of the grid the CLI passes to each kernel check (None: none)
+    sizes = {}
+
+    def spy(name):
+        real = getattr(kernels, name)
+
+        def call(*args):
+            grid = args[-1]
+            sizes[name] = None if grid is None else grid.size
+            return real(*args)
+        monkeypatch.setattr(kernels, name, call)
+
+    spy("intertwining_residuals")
+    spy("check_stationarity")
+    return sizes
+
+
+def test_grid_points_sets_every_kernel_grid(tmp_path, monkeypatch):
+    sizes = _grid_sizes(monkeypatch)
+    assert run(["intertwine", "--seed", "1", "--grid-points", "1200",
+                "--out", str(tmp_path / "i.json")]) == 0
+    assert sizes == {"intertwining_residuals": 1200, "check_stationarity": 1200}
+
+
+def test_default_grids_are_left_to_the_library(tmp_path, monkeypatch):
+    sizes = _grid_sizes(monkeypatch)
+    assert run(["intertwine", "--seed", "1",
+                "--out", str(tmp_path / "i.json")]) == 0
+    assert sizes == {"intertwining_residuals": None, "check_stationarity": None}

@@ -84,6 +84,14 @@ def test_sampler_small_a_without_overflow_warnings(lam):
     assert np.all(np.isfinite(draws)) and np.all(draws > 0.0)
 
 
+def test_sampler_stall_is_a_value_error():
+    # at a = 1e-3 a round accepts with probability 7e-4 at lam = 2, so some
+    # of 10^4 draws outlast the 10,000-round guard: a usage error (exit 2)
+    with pytest.raises(ValueError, match=r"10000 rounds at lam=2, c=1e-06"):
+        gig_sample(GigParams.symmetric(2.0, 1e-3), np.random.default_rng(16180339),
+                   10**4)
+
+
 @pytest.mark.parametrize("lam,a,b", [
     (1.0, 1.0, 1.0), (0.5, 2.0, 2.0), (2.0, 0.5, 0.5),
     (-1.5, 1.0, 1.0), (0.0, 1.5, 1.5), (2.0, 1.0, 3.0),

@@ -2,15 +2,17 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 from scipy import stats as spstats
+from scipy.special import gammainc, gammaincc
 
 from gigwalk import kernels
 from gigwalk.gig import GigParams, gig_pdf, gig_sample, gig_scale
-from gigwalk.kernels import (GridCoverageError, KernelDensity, LogGrid,
-                             _apply_p, _ktilde_rows, _lambda_rows,
+from gigwalk.kernels import (LOG_STEP, PI_TAIL, GridCoverageError,
+                             KernelDensity, LogGrid, _apply_p, _ktilde_rows,
+                             _lambda_rows, _pi_grid,
                              characterization_discrepancy,
                              check_detailed_balance, check_intertwining,
                              check_stationarity, compose,
@@ -38,6 +40,20 @@ def test_loggrid_validation():
         LogGrid.make(1.0, 0.1)
     with pytest.raises(ValueError):
         LogGrid.make(0.0, 10.0)
+    with pytest.raises(ValueError):
+        LogGrid.make(1.0, np.inf)
+
+
+def test_loggrid_size_follows_the_log_step():
+    assert GRID.size == 1000 and (GRID.lo, GRID.hi) == (1e-6, 1e6)
+    for lo, hi in [(1e-3, 1e3), (0.02, 7.0), (1e-40, 1e40)]:
+        grid = LogGrid.make(lo, hi)
+        steps = np.diff(np.log(grid.points))
+        assert np.max(steps) <= LOG_STEP * (1.0 + 1e-9)
+        assert np.log(hi / lo) / (grid.size - 2) > LOG_STEP
+    # an explicit n is kept
+    assert LogGrid.make(n=4000).size == 4000
+    assert LogGrid.make(1e-3, 1e3, 7).size == 7
 
 
 @pytest.mark.parametrize("family", ["Q", "P", "Lambda", "Ktilde"])
@@ -257,6 +273,82 @@ def test_stationarity_residuals():
     assert check_stationarity(3.0, 0.8, GRID) < 1e-7
     wide = LogGrid.make(1e-8, 1e8, 5000)
     assert check_stationarity(0.1, 1.0, wide) < 1e-6
+
+
+def test_stationarity_refuses_a_law_past_the_double_range():
+    # pi = inverse-gamma(0.05, 1/2) keeps mass 1e-14 beyond exp(644)
+    with pytest.raises(GridCoverageError, match="double range"):
+        check_stationarity(0.05, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.25, 5.0), a=st.floats(0.1, 5.0))
+@example(lam=0.1, a=0.1)  # near the double-range cutoff: 11794 points
+def test_pi_grid_holds_the_law(lam, a):
+    grid = _pi_grid(lam, a)
+    beta = 0.5 * a * a
+    assert gammaincc(lam, beta / grid.lo) == pytest.approx(PI_TAIL, rel=1e-9)
+    assert gammainc(lam, beta / grid.hi) == pytest.approx(PI_TAIL, rel=1e-9)
+    pi = pi_density(lam, a, grid.points)
+    closed = gammainc(lam, beta / grid.lo) - gammainc(lam, beta / grid.hi)
+    assert abs(grid.integrate(pi) - closed) <= 3.0 * PI_TAIL
+    # the mass the grid cuts off, at most 2 PI_TAIL, reaches the residual
+    # through Ktilde(x, .), which never exceeds the largest density of
+    # gamma ~ GIG(-lam, a, a) because dgamma/dy = 1/(2 gamma x + 1) <= 1;
+    # where a is large that term exceeds 1e-13 max(pi) (1.2e-14 against
+    # 8e-16 at lam = 0.25, a = 5)
+    c = a * a
+    mode = (np.hypot(lam + 1.0, c) - lam - 1.0) / c
+    cut = 2.0 * PI_TAIL * gig_pdf(GigParams.symmetric(-lam, a), mode)
+    assert check_stationarity(lam, a) <= 1e-13 * np.max(pi) + cut
+
+
+# the acceptance suite's (lam, a) points (criteria 01 and 02), the centre
+# of the benchmark box [0.5, 2]^2, whose corners are among them, and a = 20,
+# where intertwining from z = 0.2 needs a tenth of LOG_STEP
+_CERTIFIED_POINTS = ([(lam, a) for lam in (0.5, 1.0, 2.0) for a in (0.5, 1.0, 2.0)]
+                     + [(1.0, np.sqrt(2.0)), (3.0, 0.8), (1.25, 1.25), (1.0, 20.0)])
+_ZU_PAIRS = [(1.5, 2.0), (2.0, 1.5)]
+_CONTROLS = [partial(spstats.lognorm.pdf, s=0.5), partial(spstats.gamma.pdf, a=2.0)]
+
+
+def _certified_residuals(lam, a):
+    # the characterization has no law-sized grid: its GIG conditionals are
+    # proportional, so the normalizers' quadrature errors cancel
+    grid = LogGrid.make()
+    params = GigParams.symmetric(lam, a)
+    return np.array(
+        list(intertwining_residuals(lam, a, (0.2, 1.0, 5.0)).values())
+        + [check_stationarity(lam, a)]
+        + [characterization_discrepancy(partial(gig_pdf, params), z, u, grid)
+           for z, u in _ZU_PAIRS])
+
+
+@pytest.mark.parametrize("lam, a", _CERTIFIED_POINTS)
+def test_log_step_is_certified_by_refinement(lam, a, monkeypatch):
+    # every residual the default grids certify moves by at most 1e-12 when
+    # the log step is halved (at 8 LOG_STEP, intertwining at a = 2 moves by
+    # up to 1.1e-8)
+    coarse = _certified_residuals(lam, a)
+    monkeypatch.setattr(kernels, "LOG_STEP", LOG_STEP / 2.0)
+    fine = _certified_residuals(lam, a)
+    assert np.max(np.abs(coarse - fine)) <= 1e-12
+
+
+def test_intertwining_grid_shrinks_its_step_with_the_kernel_width():
+    assert kernels._step_for(kernels._intertwining_curvature(2.0, 2.0, 0.2)) == LOG_STEP
+    # the log-width 1/(a sqrt(1 + 1/z)) of Lambda(z, .) P(., v) falls as 1/a
+    ratio = kernels._step_for(kernels._intertwining_curvature(1.0, 20.0, 0.2)) / LOG_STEP
+    assert ratio == pytest.approx(0.1, rel=0.02)
+
+
+def test_characterization_controls_separate_at_half_the_log_step(monkeypatch):
+    # at LOG_STEP itself the acceptance suite checks them on GRID
+    monkeypatch.setattr(kernels, "LOG_STEP", LOG_STEP / 2.0)
+    grid = LogGrid.make()
+    for pdf in _CONTROLS:
+        for z, u in _ZU_PAIRS:
+            assert characterization_discrepancy(pdf, z, u, grid) > 1e-3
 
 
 def test_conditional_x2_matches_link_kernel():
