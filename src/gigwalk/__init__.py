@@ -27,10 +27,9 @@ from .stats import (BrownianConfig, EmpiricalSample, KsResult,
                     n_part_convergence_test, n_part_statistics,
                     scaling_limit_test, simulate_my_continuous,
                     z_independence_check)
-from .walk import (NParts, TriangularElement, WalkConfig, WalkPath, f_n,
-                   n_infinity_batch, n_infinity_sample, n_parts, path_to_csv,
-                   phi_forward, phi_inverse, phi_jacobian_det,
-                   reconstruct_x_finite, reconstruct_x_limit, simulate_path,
-                   walk_step)
+from .walk import (NParts, WalkConfig, WalkPath, f_n, n_infinity_batch,
+                   n_parts, path_to_csv, phi_forward, phi_inverse,
+                   phi_jacobian_det, reconstruct_x_finite, reconstruct_x_limit,
+                   simulate_batch, simulate_path)
 
 __version__ = "0.1.0"

@@ -258,11 +258,14 @@ def gig_log_moment_asymptotic(lam: float, a: float, m: int) -> float:
                  / (a ** (m + 1) * np.sqrt(np.pi)))
 
 
-def inverse_gamma_pdf(params: InvGammaParams, x):
+def _inverse_gamma_logpdf(params: InvGammaParams, x):
     x = _check_positive(x)
     sh, sc = params.shape, params.scale
-    out = np.exp(sh * np.log(sc) - special.gammaln(sh)
-                 - (sh + 1.0) * np.log(x) - sc / x)
+    return sh * np.log(sc) - special.gammaln(sh) - (sh + 1.0) * np.log(x) - sc / x
+
+
+def inverse_gamma_pdf(params: InvGammaParams, x):
+    out = np.exp(_inverse_gamma_logpdf(params, x))
     if out.ndim == 0:
         return float(out)
     return out

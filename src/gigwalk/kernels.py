@@ -57,7 +57,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammainccinv, gammaincinv
 
-from .gig import InvGammaParams, inverse_gamma_pdf
+from .gig import InvGammaParams, _inverse_gamma_logpdf
 from .specfun import log_bessel_k
 
 __all__ = [
@@ -231,24 +231,31 @@ def lambda_density(lam: float, a: float, z, x):
     return _as_out(logv)
 
 
-def ktilde_density(lam: float, a: float, x, y):
-    """AN-part kernel: pushforward of gamma ~ GIG(-lam, a, a) under
-    y = gamma^2 x + gamma, written with the stable root
-    gamma(y) = 2y / (1 + sqrt(1 + 4xy))."""
+def _ktilde_logpdf(lam: float, a: float, x, y):
     x, y = _pos(x, "x"), _pos(y, "y")
     a2 = a * a
     s = np.sqrt(1.0 + 4.0 * x * y)
     g = 2.0 * y / (1.0 + s)
-    logv = (-np.log(2.0) - log_bessel_k(lam, a2) - np.log(s)
+    return (-np.log(2.0) - log_bessel_k(lam, a2) - np.log(s)
             + (-lam - 1.0) * np.log(g) - 0.5 * a2 * (g + 1.0 / g))
-    return _as_out(logv)
+
+
+def ktilde_density(lam: float, a: float, x, y):
+    """AN-part kernel: pushforward of gamma ~ GIG(-lam, a, a) under
+    y = gamma^2 x + gamma, written with the stable root
+    gamma(y) = 2y / (1 + sqrt(1 + 4xy))."""
+    return _as_out(_ktilde_logpdf(lam, a, x, y))
+
+
+def _pi_logpdf(lam: float, a: float, x):
+    if lam <= 0.0:
+        raise ValueError("stationary law requires lambda > 0")
+    return _inverse_gamma_logpdf(InvGammaParams(lam, a * a / 2.0), x)
 
 
 def pi_density(lam: float, a: float, x):
     """Stationary density of the AN-part chain: inverse-gamma(lam, a^2/2)."""
-    if lam <= 0.0:
-        raise ValueError("stationary law requires lambda > 0")
-    return inverse_gamma_pdf(InvGammaParams(lam, a * a / 2.0), x)
+    return _as_out(_pi_logpdf(lam, a, x))
 
 
 _FAMILIES = {
@@ -505,11 +512,12 @@ def check_stationarity(lam: float, a: float,
 
 
 def check_detailed_balance(lam: float, a: float, pairs) -> float:
-    """Max |pi(x) ktilde(x,y) / (pi(y) ktilde(y,x)) - 1| over the given pairs."""
+    """Max |pi(x) ktilde(x,y) / (pi(y) ktilde(y,x)) - 1| over the given pairs,
+    formed from log-densities: at large a both densities underflow."""
     pairs = np.asarray(pairs, dtype=float)
     x, y = pairs[:, 0], pairs[:, 1]
-    log_ratio = (np.log(pi_density(lam, a, x)) + np.log(ktilde_density(lam, a, x, y))
-                 - np.log(pi_density(lam, a, y)) - np.log(ktilde_density(lam, a, y, x)))
+    log_ratio = (_pi_logpdf(lam, a, x) + _ktilde_logpdf(lam, a, x, y)
+                 - _pi_logpdf(lam, a, y) - _ktilde_logpdf(lam, a, y, x))
     return float(np.max(np.abs(np.expm1(log_ratio))))
 
 

@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gig import GigParams, InvGammaParams, gig_sample, inverse_gamma_cdf, spawn_rngs
+from .gig import GigParams, InvGammaParams, inverse_gamma_cdf, spawn_rngs
+from .gig import gig_sample  # noqa: F401  (perfbench's tracer test reads stats.gig_sample)
 from .kernels import my_generator_coefficients
-from .walk import n_infinity_batch
+from .walk import n_infinity_batch, simulate_batch
 
 __all__ = [
     "BrownianConfig",
@@ -155,35 +156,6 @@ def _sharded(draw, total: int, seed: int, workers: int = 1) -> np.ndarray:
     return np.concatenate(parts, axis=-1)
 
 
-def _walk_table(lam: float, a: float, delta: float, marks, count: int, rng,
-                rows=("z",)) -> np.ndarray:
-    """Simulate `count` walks up to max(marks); capture the requested rows
-    ('z', 'n_na', 'log_x') at each checkpoint step.  Shape:
-    (len(rows) * len(marks), count), checkpoint-major."""
-    params = GigParams.symmetric(lam, a)
-    marks = sorted(set(int(m) for m in marks))
-    z = np.zeros(count)
-    log_x = np.zeros(count)
-    out = np.empty((len(rows) * len(marks), count))
-    idx = {m: i for i, m in enumerate(marks)}
-    for k in range(marks[-1]):
-        g = gig_sample(params, rng, count)
-        z = g * z + delta * np.exp(-log_x)
-        log_x += np.log(g)
-        if (k + 1) in idx:
-            base = idx[k + 1] * len(rows)
-            for j, row in enumerate(rows):
-                if row == "z":
-                    out[base + j] = z
-                elif row == "n_na":
-                    out[base + j] = z * np.exp(-log_x)
-                elif row == "log_x":
-                    out[base + j] = log_x
-                else:
-                    raise ValueError(f"unknown row {row!r}")
-    return out
-
-
 def dufresne_test(lam: float, a: float, samples: int, seed: int,
                   tail_tol: float = 1e-10, workers: int = 1,
                   alpha: float = 0.01) -> KsResult:
@@ -209,10 +181,9 @@ def n_part_statistics(lam: float, a: float, checkpoints, samples: int,
     if lam <= 0.0:
         raise ValueError("convergence requires lambda > 0")
     marks = sorted(set(int(c) for c in checkpoints))
-
-    table = _sharded(
-        lambda c, r: _walk_table(lam, a, 1.0, marks, c, r, rows=("n_na",)),
-        samples, seed, workers)
+    params = GigParams.symmetric(lam, a)
+    table = _sharded(lambda c, r: simulate_batch(params, 1.0, c, r, marks)[1],
+                     samples, seed, workers)
     ref_seed = int(np.random.SeedSequence(seed).generate_state(2)[1])
     reference = _sharded(lambda c, r: n_infinity_batch(lam, a, c, r, tail_tol),
                          samples, ref_seed, workers)
@@ -232,14 +203,9 @@ def donsker_check(lam: float, n: int, t: float, samples: int, seed: int,
     """KS of sum_{j < floor(nt)} log gamma_j^(sqrt n) against Normal(lam*t, t)."""
     params = GigParams.symmetric(lam, np.sqrt(n))
     m = int(np.floor(n * t))
-
-    def draw(count, rng):
-        s = np.zeros(count)
-        for _ in range(m):
-            s += np.log(gig_sample(params, rng, count))
-        return s
-
-    draws = _sharded(draw, samples, seed, workers)
+    # the walk's log X row is the sum of log increments
+    draws = _sharded(lambda c, r: simulate_batch(params, 1.0, c, r, [m])[0, 0],
+                     samples, seed, workers)
     sd = np.sqrt(t)
     return ks_one_sample(EmpiricalSample.from_draws(draws, seed, "log_sum"),
                          lambda x: special.ndtr((x - lam * t) / sd), alpha)
@@ -320,13 +286,8 @@ def scaling_limit_test(lam: float, n: int, t: float, samples: int, dt: float,
     delta = 1.0 / n
 
     def draw_walk(count, rng):
-        z = np.zeros(count)
-        log_x = np.zeros(count)
-        for _ in range(m):
-            g = gig_sample(params, rng, count)
-            z = g * z + delta * np.exp(-log_x)
-            log_x += np.log(g)
-        return z
+        log_x, n_na = simulate_batch(params, delta, count, rng, [m])[:, 0]
+        return n_na * np.exp(log_x)
 
     config = BrownianConfig(lam, t, dt)
     seeds = np.random.SeedSequence(seed).generate_state(2)
@@ -373,24 +334,11 @@ def generator_drift_check(lam: float, z: float, n: int, samples: int,
     eps = eps_frac * z
 
     def accumulate(count, rng):
-        zz = np.zeros(count)
-        log_x = np.zeros(count)
-        hits = 0
-        s1 = 0.0
-        s2 = 0.0
-        for k in range(n):
-            g = gig_sample(params, rng, count)
-            z_new = g * zz + delta * np.exp(-log_x)
-            if k >= burn:
-                mask = np.abs(zz - z) < eps
-                if mask.any():
-                    dz = z_new[mask] - zz[mask]
-                    hits += dz.size
-                    s1 += float(dz.sum())
-                    s2 += float(dz @ dz)
-            zz = z_new
-            log_x += np.log(g)
-        return np.array([[float(hits)], [s1], [s2]])
+        log_x, n_na = simulate_batch(params, delta, count, rng,
+                                     range(burn, n + 1))
+        zz = n_na * np.exp(log_x)  # Z_burn .. Z_n
+        dz = np.diff(zz, axis=0)[np.abs(zz[:-1] - z) < eps]
+        return np.array([[float(dz.size)], [float(dz.sum())], [float(dz @ dz)]])
 
     table = _sharded(accumulate, paths_total, seed, workers)
     hits = int(table[0].sum())
@@ -458,23 +406,20 @@ def z_independence_check(lam: float, a: float, n: int, samples: int,
         raise ValueError("statistic must be 'n_na' or 'log_x'")
     z_marks = [2, 3, 4, 5, 6]
     marks = sorted(set(z_marks + [int(n)]))
-    rows = ("z", "n_na", "log_x")
-
-    table = _sharded(
-        lambda c, r: _walk_table(lam, a, 1.0, marks, c, r, rows=rows),
-        samples, seed, workers)
+    params = GigParams.symmetric(lam, a)
+    log_x, n_na = _sharded(lambda c, r: simulate_batch(params, 1.0, c, r, marks),
+                           samples, seed, workers)
     idx = {m: i for i, m in enumerate(marks)}
-    target_row = 1 if statistic == "n_na" else 2
-    target = table[idx[int(n)] * len(rows) + target_row]
+    target = (n_na if statistic == "n_na" else log_x)[idx[int(n)]]
+    zs = {m: n_na[idx[m]] * np.exp(log_x[idx[m]]) for m in z_marks}
 
     def corr(u, v):
         um, vm = u - u.mean(), v - v.mean()
         return float((um @ vm) / np.sqrt((um @ um) * (vm @ vm)))
 
-    correlations = {f"Z{m}": corr(table[idx[m] * len(rows)], target)
-                    for m in z_marks}
+    correlations = {f"Z{m}": corr(zs[m], target) for m in z_marks}
     sub = min(dcor_subsample, samples)
-    dcor = _dcor_unbiased(table[idx[2] * len(rows)][:sub], target[:sub])
+    dcor = _dcor_unbiased(zs[2][:sub], target[:sub])
     max_abs = max(abs(v) for v in correlations.values())
     return ZIndependenceResult(correlations, max_abs, 3.0 / np.sqrt(samples),
                                dcor, statistic)

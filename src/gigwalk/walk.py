@@ -5,10 +5,15 @@ One step right-multiplies by [[gamma, 0], [delta, 1/gamma]], so
 
     X_{k+1} = gamma_k X_k,      Z_{k+1} = gamma_k Z_k + delta / X_k,
 
-with X_1 = gamma_0 and Z_1 = delta.  Paths track log X and log Z internally:
-for |E log gamma| > 0 both coordinates drift exponentially and raw products
-leave the double range long before the horizons used by the scaling-limit
-and reconstruction checks.
+with X_1 = gamma_0 and Z_1 = delta.  Walks run in log X and the NA-part
+N = Z/X, the partial sum of the discrete Dufresne perpetuity
+
+    N_{k+1} = N_k + delta gamma_k^-1 X_k^-2,
+
+and derive Z = N X (a WalkPath keeps log Z = log N + log X): for
+|E log gamma| > 0 the raw coordinates drift exponentially and leave the
+double range long before the horizons used by the scaling-limit and
+reconstruction checks, while N only adds positive terms.
 """
 
 from __future__ import annotations
@@ -24,12 +29,10 @@ __all__ = [
     "DivergenceError",
     "InsufficientTailError",
     "NParts",
-    "TriangularElement",
     "WalkConfig",
     "WalkPath",
     "f_n",
     "n_infinity_batch",
-    "n_infinity_sample",
     "n_parts",
     "path_to_csv",
     "phi_forward",
@@ -37,8 +40,8 @@ __all__ = [
     "phi_jacobian_det",
     "reconstruct_x_finite",
     "reconstruct_x_limit",
+    "simulate_batch",
     "simulate_path",
-    "walk_step",
 ]
 
 
@@ -48,36 +51,6 @@ class DivergenceError(RuntimeError):
 
 class InsufficientTailError(ValueError):
     """Reconstruction tail too short for the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class TriangularElement:
-    """The matrix [[x, 0], [z, 1/x]]; determinant 1 by construction."""
-
-    x: float
-    z: float
-
-    def __post_init__(self):
-        if self.x == 0.0:
-            raise ValueError("diagonal entry must be nonzero")
-
-    def __matmul__(self, other: "TriangularElement") -> "TriangularElement":
-        return TriangularElement(self.x * other.x,
-                                 self.z * other.x + other.z / self.x)
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.x, 0.0], [self.z, 1.0 / self.x]])
-
-    @classmethod
-    def identity(cls) -> "TriangularElement":
-        return cls(1.0, 0.0)
-
-
-def walk_step(state: TriangularElement, gamma: float, delta: float) -> TriangularElement:
-    """Right-multiply the state by the increment [[gamma, 0], [delta, 1/gamma]]."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    return state @ TriangularElement(gamma, delta)
 
 
 @dataclass(frozen=True)
@@ -130,13 +103,10 @@ class WalkPath:
             raise ValueError("delta must be positive")
         log_g = np.log(gammas)
         log_xs = np.cumsum(log_g)
-        log_zs = np.empty_like(log_xs)
-        log_zs[0] = np.log(delta)
-        log_delta = np.log(delta)
-        for k in range(1, gammas.size):
-            # log(gamma Z + delta/X) without leaving log space
-            log_zs[k] = log_zs[k - 1] + np.logaddexp(
-                log_g[k], log_delta - log_xs[k - 1] - log_zs[k - 1])
+        # log N_k over the perpetuity terms delta gamma_k^-1 X_k^-2, X_0 = 1
+        terms = np.log(delta) - log_g
+        terms[1:] -= 2.0 * log_xs[:-1]
+        log_zs = np.logaddexp.accumulate(terms) + log_xs
         return cls(gammas, log_xs, log_zs, delta)
 
 
@@ -151,6 +121,33 @@ def simulate_path(config: WalkConfig, rng=None, gammas=None) -> WalkPath:
         if gammas.size != config.steps:
             raise ValueError("injected stream length must equal steps")
     return WalkPath.from_gammas(gammas, config.delta)
+
+
+def simulate_batch(params: GigParams, delta: float, count: int, rng,
+                   marks) -> np.ndarray:
+    """Step `count` independent walks to max(marks), one gig_sample call of
+    `count` draws per step; returns (log X, N) stacked at the sorted marks,
+    shape (2, len(marks), count).  Mark 0 is the identity: log X = N = 0.
+
+    N grows by the positive terms delta exp(-log gamma - 2 log X), which may
+    underflow to 0 but overflow only for log X below -354; callers derive
+    Z = N exp(log X) at the marks they need.
+    """
+    marks = sorted(set(int(m) for m in marks))
+    log_x = np.zeros(count)
+    n = np.zeros(count)
+    out = np.empty((2, len(marks), count))
+    step = 0
+    with np.errstate(under="ignore"):
+        for i, mark in enumerate(marks):
+            for _ in range(mark - step):
+                log_g = np.log(gig_sample(params, rng, count))
+                n += delta * np.exp(-log_g - 2.0 * log_x)
+                log_x += log_g
+            step = mark
+            out[0, i] = log_x
+            out[1, i] = n
+    return out
 
 
 @dataclass(frozen=True)
@@ -262,38 +259,6 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
             small = np.exp(log_prefix[active]) < tail_tol * total[active]
         persist[active] = np.where(small, persist[active] + 1, 0)
         active = active[persist[active] < window]
-    raise DivergenceError(
-        f"perpetuity series still active after {max_terms} terms; "
-        "requires E[log gamma] > 0 (lambda > 0)")
-
-
-def n_infinity_sample(lam: float, a: float, rng=None, tail_tol: float = 1e-10,
-                      gammas=None, window: int = 50,
-                      max_terms: int = 10**6) -> float:
-    """Single truncated draw of the perpetuity series; see n_infinity_batch.
-
-    An injected increment sequence (iterable of positive floats) replaces the
-    random stream for deterministic oracle checks.
-    """
-    if gammas is None:
-        return float(n_infinity_batch(lam, a, 1, rng, tail_tol, window, max_terms)[0])
-    total = 0.0
-    log_prefix = 0.0
-    persist = 0
-    it = iter(gammas)
-    with np.errstate(over="ignore", under="ignore"):
-        for _ in range(max_terms):
-            g = float(next(it))
-            log_g = np.log(g)
-            total += np.exp(log_prefix - log_g)
-            log_prefix -= 2.0 * log_g
-            if not np.isfinite(total):
-                raise DivergenceError(
-                    "perpetuity series overflowed; "
-                    "requires E[log gamma] > 0 (lambda > 0)")
-            persist = persist + 1 if np.exp(log_prefix) < tail_tol * total else 0
-            if persist >= window:
-                return total
     raise DivergenceError(
         f"perpetuity series still active after {max_terms} terms; "
         "requires E[log gamma] > 0 (lambda > 0)")

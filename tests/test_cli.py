@@ -138,14 +138,17 @@ def test_non_finite_parameter_exits_2(capsys):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowed_walk_exits_2_not_a_ks_verdict(tmp_path, capsys):
-    # at lambda = 2, a = 0.5 the batched walk overflows to NaN by step 1000 on
-    # every path; two samples are the fewest the KS machinery accepts
+@pytest.mark.filterwarnings("error")
+def test_fast_drifting_walk_converges(tmp_path):
+    # at lambda = 2, a = 0.5, X_1000 leaves the double range on every path;
+    # the NA-part recursion never forms X, so N_1000 stays finite
+    out = tmp_path / "c.json"
     assert run(["converge", "--lambda", "2", "--a", "0.5", "--steps", "1000",
-                "--samples", "2", "--workers", "1",
-                "--out", str(tmp_path / "c.json")]) == 2
-    assert "overflow" in capsys.readouterr().err
+                "--samples", "2000", "--workers", "1", "--seed", "3",
+                "--out", str(out)]) == 0
+    records = json.loads(out.read_text())
+    assert [r["params"]["n"] for r in records] == [10, 50, 1000]
+    assert all(0.0 < r["statistic"] < 1.0 for r in records)
 
 
 def test_sampler_stall_exits_2(capsys):

@@ -136,6 +136,16 @@ def test_detailed_balance_pointwise():
         assert check_detailed_balance(lam, 1.0, pairs) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_detailed_balance_where_densities_underflow():
+    # at a = 20, pi(x) ktilde(x, y) underflows to 0 on 19 of these 100 pairs;
+    # the ratio comes from log-densities, so it stays finite and certified
+    x, y = np.exp(np.random.default_rng(7).normal(0.0, 1.0, (2, 100)))
+    for lam in (0.5, 1.0, 2.0):
+        assert np.any(pi_density(lam, 20.0, x) * ktilde_density(lam, 20.0, x, y) == 0.0)
+        assert check_detailed_balance(lam, 20.0, np.column_stack([x, y])) < 1e-12
+
+
 def test_pi_is_inverse_gamma_alias():
     from gigwalk.gig import InvGammaParams, inverse_gamma_pdf
     xs = np.array([0.2, 1.0, 4.0])

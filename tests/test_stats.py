@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from gigwalk.gig import GigParams, InvGammaParams, gig_log_moment_numeric, inverse_gamma_cdf
@@ -203,6 +205,22 @@ def test_z_independence_null_and_control():
     ctrl = z_independence_check(1.0, 1.0, 300, 100000, 7, statistic="log_x")
     assert ctrl.max_abs_correlation > ctrl.bound
     assert ctrl.distance_correlation > 0.02
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam=st.floats(0.5, 3.0), a=st.floats(0.3, 5.0), n=st.integers(1, 60),
+       samples=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
+def test_n_part_statistics_do_not_depend_on_workers(lam, a, n, samples, seed):
+    assert (n_part_statistics(lam, a, [1, n], samples, seed, workers=1)
+            == n_part_statistics(lam, a, [1, n], samples, seed, workers=2))
+
+
+@settings(max_examples=10, deadline=None)
+@given(lam=st.floats(-2.0, 3.0), n=st.integers(1, 60), t=st.floats(0.2, 1.0),
+       samples=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
+def test_scaling_limit_does_not_depend_on_workers(lam, n, t, samples, seed):
+    assert (scaling_limit_test(lam, n, t, samples, 0.05, seed, workers=1)
+            == scaling_limit_test(lam, n, t, samples, 0.05, seed, workers=2))
 
 
 def test_report_record_fields():

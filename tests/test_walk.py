@@ -1,16 +1,19 @@
 import io
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gigwalk.gig import GigParams, InvGammaParams, inverse_gamma_mean
+import gigwalk.walk
+from gigwalk.gig import GigParams, InvGammaParams, gig_sample, inverse_gamma_mean
 from gigwalk.stats import ks_two_sample
-from gigwalk.walk import (DivergenceError, InsufficientTailError,
-                          TriangularElement, WalkConfig, WalkPath, f_n,
-                          n_infinity_batch, n_infinity_sample, n_parts,
+from gigwalk.walk import (DivergenceError, InsufficientTailError, WalkConfig,
+                          WalkPath, f_n, n_infinity_batch, n_parts,
                           path_to_csv, phi_forward, phi_inverse,
                           phi_jacobian_det, reconstruct_x_finite,
-                          reconstruct_x_limit, simulate_path, walk_step)
+                          reconstruct_x_limit, simulate_batch, simulate_path)
 
 SEED = 31415926
 
@@ -26,22 +29,20 @@ def random_path(lam, a, steps, seed, delta=1.0):
     return simulate_path(config)
 
 
-def test_walk_step_examples():
-    state = walk_step(TriangularElement.identity(), 2.0, 1.0)
-    assert (state.x, state.z) == (2.0, 1.0)
-    state = walk_step(TriangularElement(2.0, 1.0), 3.0, 1.0)
-    assert state.x == 6.0
-    assert state.z == pytest.approx(3.5, rel=1e-15)  # (X2 Z1 + 1)/X1 cross-check
-    state = walk_step(TriangularElement(2.0, 1.0), 1.0, 0.0)
-    assert (state.x, state.z) == (2.0, 1.0)
-    with pytest.raises(ValueError):
-        walk_step(TriangularElement.identity(), -1.0, 1.0)
-
-
-def test_matrix_product_matches_matmul():
-    a = TriangularElement(2.0, 0.5)
-    b = TriangularElement(0.25, -1.0)
-    assert np.allclose((a @ b).as_matrix(), a.as_matrix() @ b.as_matrix())
+@pytest.mark.parametrize("drift", [0.5, 0.0, -0.5])
+def test_path_matches_matrix_products(drift):
+    # X_k = M[0, 0] and Z_k = M[1, 0] of the chained group increments
+    # [[gamma, 0], [delta, 1/gamma]], on growing and shrinking paths
+    rng = np.random.default_rng(SEED + int(10 * drift))
+    for _ in range(20):
+        steps = int(rng.integers(1, 13))
+        gammas = np.exp(rng.normal(drift, 0.7, steps))
+        delta = float(np.exp(rng.normal()))
+        path = WalkPath.from_gammas(gammas, delta)
+        increments = [np.array([[g, 0.0], [delta, 1.0 / g]]) for g in gammas]
+        prods = np.array(list(accumulate(increments, np.matmul)))
+        np.testing.assert_allclose(path.xs, prods[:, 0, 0], rtol=1e-12)
+        np.testing.assert_allclose(path.zs, prods[:, 1, 0], rtol=1e-12)
 
 
 def test_single_step_path():
@@ -246,15 +247,47 @@ def test_na_an_distributional_mirror():
     assert res.passed, f"KS={res.statistic} crit={res.critical_1pct}"
 
 
-def test_n_infinity_injected_streams():
+def test_n_infinity_injected_streams(monkeypatch):
     def constant(c):
-        while True:
-            yield c
+        monkeypatch.setattr(gigwalk.walk, "gig_sample",
+                            lambda params, rng, size: np.full(size, c))
 
-    assert n_infinity_sample(1.0, 1.0, gammas=constant(2.0)) == \
-        pytest.approx(2.0 / 3.0, rel=1e-9)
-    with pytest.raises(DivergenceError):
-        n_infinity_sample(1.0, 1.0, gammas=constant(1.0), max_terms=10**5)
+    constant(2.0)  # sum_k 2^-1 4^-k
+    draws = n_infinity_batch(1.0, 1.0, 3, None)
+    np.testing.assert_allclose(draws, 2.0 / 3.0, rtol=1e-9)
+    constant(1.0)  # every term is 1: the series never stops
+    with pytest.raises(DivergenceError, match="after 1000 terms"):
+        n_infinity_batch(1.0, 1.0, 3, None, max_terms=1000)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.floats(-2.0, 3.0), a=st.floats(0.3, 5.0),
+       delta=st.floats(0.1, 10.0), steps=st.integers(1, 60),
+       count=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+@example(lam=-2.0, a=0.3, delta=10.0, steps=60, count=8, seed=0)  # log X ~ -230
+def test_batch_engine_replays_the_stream(lam, a, delta, steps, count, seed):
+    params = GigParams.symmetric(lam, a)
+    log_x, n_na = simulate_batch(params, delta, count,
+                                 np.random.default_rng(seed),
+                                 range(1, steps + 1))
+    rng = np.random.default_rng(seed)
+    gammas = np.array([gig_sample(params, rng, count) for _ in range(steps)])
+    assert np.array_equal(log_x, np.cumsum(np.log(gammas), axis=0))
+    for j in range(count):
+        path = WalkPath.from_gammas(gammas[:, j], delta)
+        np.testing.assert_allclose(n_na[:, j],
+                                   np.exp(path.log_zs - path.log_xs),
+                                   rtol=1e-12)
+
+
+def test_batch_engine_marks():
+    # mark 0 is the identity; repeated and unsorted marks collapse
+    params = GigParams.symmetric(1.0, 1.0)
+    out = simulate_batch(params, 1.0, 4, np.random.default_rng(SEED), [3, 0, 3])
+    assert out.shape == (2, 2, 4)
+    assert np.array_equal(out[:, 0], np.zeros((2, 4)))
+    full = simulate_batch(params, 1.0, 4, np.random.default_rng(SEED), [1, 2, 3])
+    assert np.array_equal(out[:, 1], full[:, 2])
 
 
 def test_n_infinity_negative_shape_diverges():
