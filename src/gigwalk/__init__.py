@@ -18,9 +18,7 @@ from .kernels import (KernelDensity, LogGrid, characterization_discrepancy,
                       conditional_x3_given_z3_z2, ktilde_density,
                       lambda_density, my_generator_coefficients, p_density,
                       pi_density, q_density)
-from .specfun import (AsymptoticSeries, bessel_k, bessel_k_quadrature,
-                      bessel_k_small_z, log_bessel_k, log_gamma,
-                      watson_partial_sum)
+from .specfun import bessel_k, log_bessel_k
 from .stats import (BrownianConfig, EmpiricalSample, KsResult,
                     donsker_check, dufresne_test, generator_drift_check,
                     kolmogorov_critical, ks_one_sample, ks_two_sample,

@@ -121,15 +121,23 @@ def _cmd_dufresne(args):
     return [rec], rec["pass"]
 
 
-def _cmd_characterize(args):
-    from scipy import stats as spstats
+def _lognormal_pdf(x):
+    """lognormal(0, sigma = 1/2) density, evaluated in log space."""
+    return np.exp(-2.0 * np.log(x) ** 2 - np.log(0.5 * x * np.sqrt(2.0 * np.pi)))
 
+
+def _gamma2_pdf(x):
+    """gamma(2, 1) density x e^(-x), evaluated in log space."""
+    return np.exp(np.log(x) - x)
+
+
+def _cmd_characterize(args):
     grid = _grid(args)
     params = GigParams.symmetric(args.lam, args.a)
     laws = [
         ("gig", lambda x: gig_pdf(params, x), 1e-7, True),
-        ("lognormal", lambda x: spstats.lognorm.pdf(x, 0.5), 1e-3, False),
-        ("gamma", lambda x: spstats.gamma.pdf(x, 2.0), 1e-3, False),
+        ("lognormal", _lognormal_pdf, 1e-3, False),
+        ("gamma", _gamma2_pdf, 1e-3, False),
     ]
     records = []
     for name, pdf, threshold, below in laws:
@@ -185,6 +193,8 @@ def _cmd_moments(args):
 
 
 def _cmd_reconstruct(args):
+    if args.samples < 1:
+        raise ValueError(f"samples must be at least 1, got {args.samples}")
     rng = np.random.default_rng(args.seed)
     horizon = max(args.steps, 4)
     tol = args.tol if args.tol is not None else 1e-10

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .specfun import log_bessel_k
 
@@ -213,6 +213,10 @@ def gig_log_moment_numeric(params: GigParams, m: int) -> float:
     small (needed by the large-a asymptotics checks).  Absolute error is
     far below 1e-9 throughout m <= 8.
     """
+    # imported here: nothing else in the package needs scipy.integrate,
+    # which loads scipy.optimize, linalg and sparse with it
+    from scipy import integrate
+
     if not params.is_symmetric:
         raise ValueError("log-moment quadrature assumes the symmetric case a == b")
     m = int(m)

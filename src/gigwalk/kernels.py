@@ -158,9 +158,11 @@ class LogGrid:
             n = int(np.ceil((np.log(hi) - np.log(lo)) / step - 1e-9)) + 1
         if n < 2:
             raise ValueError("need n >= 2 grid points")
-        u = np.linspace(np.log(lo), np.log(hi), n)
+        u, du = np.linspace(np.log(lo), np.log(hi), n, retstep=True)
         pts = np.exp(u)
-        du = u[1] - u[0]
+        # linspace's own step: u[1] - u[0] differences two rounded logs and
+        # is off by up to eps |log x| / du, 7e-14 at du = LOG_STEP and
+        # |log x| = 9, an error every weight carries
         w = np.full(n, du)
         w[0] = w[-1] = 0.5 * du
         return cls(pts, w * pts, lo, hi)

@@ -145,6 +145,8 @@ def _shard_counts(total: int) -> list[int]:
 def _sharded(draw, total: int, seed: int, workers: int = 1) -> np.ndarray:
     """Run draw(count, rng) over the fixed shards and concatenate along the
     last axis in shard order; the result never depends on the worker count."""
+    if total < 1:
+        raise ValueError(f"samples must be at least 1, got {total}")
     counts = _shard_counts(total)
     rngs = spawn_rngs(seed, SHARDS)
     jobs = [(c, r) for c, r in zip(counts, rngs) if c > 0]

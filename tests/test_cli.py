@@ -1,9 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import stats as spstats
 
-from gigwalk import kernels
+import gigwalk
+from gigwalk import cli, kernels
 from gigwalk.cli import main
 
 
@@ -80,6 +87,62 @@ def test_characterize(tmp_path):
     assert by_name["characterization_gig"]["statistic"] < 1e-7
     assert by_name["characterization_lognormal"]["statistic"] > 1e-3
     assert by_name["characterization_gamma"]["statistic"] > 1e-3
+
+
+def test_control_densities_match_scipy():
+    x = np.exp(np.linspace(np.log(1e-6), np.log(1e6), 20001))
+    for ours, ref in ((cli._lognormal_pdf, spstats.lognorm.pdf(x, 0.5)),
+                      (cli._gamma2_pdf, spstats.gamma.pdf(x, 2.0))):
+        keep = ref >= 1e-300
+        assert keep.sum() > 10000
+        assert np.max(np.abs(ours(x)[keep] / ref[keep] - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("zu", [[], ["--z", "2", "--u", "1.5"]])
+def test_characterize_controls_match_scipy(tmp_path, zu):
+    out = tmp_path / "c.json"
+    assert run(["characterize", "--seed", "1", "--out", str(out)] + zu) == 0
+    by_name = {r["test"]: r for r in json.loads(out.read_text())}
+    for name, pdf in (("lognormal", lambda t: spstats.lognorm.pdf(t, 0.5)),
+                      ("gamma", lambda t: spstats.gamma.pdf(t, 2.0))):
+        rec = by_name[f"characterization_{name}"]
+        p = rec["params"]
+        ref = kernels.characterization_discrepancy(pdf, p["z"], p["u"])
+        assert rec["statistic"] == pytest.approx(ref, rel=1e-12)
+        assert rec["pass"] == (ref > rec["threshold"])
+
+
+def _loaded_after(code):
+    # the scipy submodules a fresh interpreter holds after running code
+    src = str(Path(gigwalk.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = (code + "\nimport sys\nprint(' '.join(m for m in ('scipy.integrate',"
+             " 'scipy.optimize', 'scipy.stats') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+def test_import_loads_no_integrate_optimize_or_stats():
+    assert _loaded_after("import gigwalk, gigwalk.cli") == []
+
+
+def test_characterize_loads_no_scipy_stats(tmp_path):
+    out = tmp_path / "c.json"
+    loaded = _loaded_after(
+        "from gigwalk import cli\n"
+        f"assert cli.main(['characterize', '--out', {str(out)!r}]) == 0")
+    assert "scipy.stats" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["reconstruct", "--samples", "0"],
+    ["dufresne", "--samples", "-5"],
+    ["converge", "--samples", "0"],
+])
+def test_invalid_sample_count_exits_2(argv, capsys):
+    assert run(argv + ["--workers", "1"]) == 2
+    assert "samples must be at least 1" in capsys.readouterr().err
 
 
 def test_reconstruct(tmp_path):

@@ -3,10 +3,10 @@ import pytest
 from scipy import integrate
 
 from gigwalk.kernels import LogGrid
-from gigwalk.specfun import (AsymptoticSeries, bessel_k, bessel_k_quadrature,
-                             bessel_k_small_z, log_bessel_k,
-                             log_bessel_k_quadrature, log_gamma,
-                             watson_partial_sum)
+from gigwalk.specfun import bessel_k, log_bessel_k
+from specfun_oracles import (AsymptoticSeries, bessel_k_quadrature,
+                             bessel_k_small_z, log_bessel_k_quadrature,
+                             log_gamma, watson_partial_sum)
 
 # closed form K_{1/2}(z) = sqrt(pi/(2z)) e^{-z} at z = 2
 K_HALF_AT_2 = 0.11993777196806145
