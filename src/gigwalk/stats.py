@@ -144,7 +144,15 @@ def _shard_counts(total: int) -> list[int]:
 
 def _sharded(draw, total: int, seed: int, workers: int = 1) -> np.ndarray:
     """Run draw(count, rng) over the fixed shards and concatenate along the
-    last axis in shard order; the result never depends on the worker count."""
+    last axis in shard order; the result never depends on the worker count.
+
+    workers = 1 (the default here and in the CLI) runs the shards in order;
+    workers > 1 runs them on a thread pool.  The pool only pays when each
+    shard's numpy calls are large enough to outweigh the interpreter lock:
+    on a 2-core host two threads ran elementwise numpy at 0.40x serial on
+    1250 elements (a shard of a 20000-sample run), 0.74x on 6250 and 1.88x
+    on 1e6.
+    """
     if total < 1:
         raise ValueError(f"samples must be at least 1, got {total}")
     counts = _shard_counts(total)

@@ -233,32 +233,43 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
                      max_terms: int = 10**6) -> np.ndarray:
     """Vectorized draws of N_inf = sum_k gamma_k^-1 (prod_{i<k} gamma_i^-1)^2.
 
-    A sample stops once the squared prefix product has stayed below
-    tail_tol times its partial sum for `window` consecutive terms; the
-    persistence requirement survives downward excursions of the underlying
-    log-gamma walk.  Exceeding `max_terms` raises DivergenceError (the
-    series only converges a.s. for lam > 0).
+    Requires lam > 0, where E[log gamma] > 0 and the series converges a.s.;
+    lam <= 0 raises ValueError before any draw.  A sample stops once the
+    squared prefix product has stayed below tail_tol times its partial sum
+    for `window` consecutive terms; the persistence requirement survives
+    downward excursions of the underlying log-gamma walk.  Exceeding
+    `max_terms` raises DivergenceError.
+
+    The loop carries only the live draws' state, compacted whenever some
+    stop, and writes a draw to the output once; each term makes one
+    gig_sample call of one draw per live sample.
     """
     params = GigParams.symmetric(lam, a)
+    if lam <= 0.0:
+        raise ValueError(f"the perpetuity series requires lambda > 0, got {lam}")
+    out = np.empty(size)
+    live = np.arange(size)
     total = np.zeros(size)
     log_prefix = np.zeros(size)
     persist = np.zeros(size, dtype=np.int64)
-    active = np.arange(size)
     for _ in range(max_terms):
-        if not active.size:
-            return total
-        g = gig_sample(params, rng, active.size)
-        log_g = np.log(g)
+        if not live.size:
+            return out
+        log_g = np.log(gig_sample(params, rng, live.size))
         with np.errstate(over="ignore", under="ignore"):
-            total[active] += np.exp(log_prefix[active] - log_g)
-            log_prefix[active] -= 2.0 * log_g
-            if not np.all(np.isfinite(total[active])):
+            total += np.exp(log_prefix - log_g)
+            log_prefix -= 2.0 * log_g
+            if not np.all(np.isfinite(total)):
                 raise DivergenceError(
                     "perpetuity series overflowed; "
                     "requires E[log gamma] > 0 (lambda > 0)")
-            small = np.exp(log_prefix[active]) < tail_tol * total[active]
-        persist[active] = np.where(small, persist[active] + 1, 0)
-        active = active[persist[active] < window]
+            small = np.exp(log_prefix) < tail_tol * total
+        persist = np.where(small, persist + 1, 0)
+        going = persist < window
+        if not going.all():
+            out[live[~going]] = total[~going]
+            live, total = live[going], total[going]
+            log_prefix, persist = log_prefix[going], persist[going]
     raise DivergenceError(
         f"perpetuity series still active after {max_terms} terms; "
         "requires E[log gamma] > 0 (lambda > 0)")

@@ -10,12 +10,19 @@ import pytest
 from scipy import stats as spstats
 
 import gigwalk
-from gigwalk import cli, kernels
+from gigwalk import cli, kernels, stats
 from gigwalk.cli import main
 
 
 def run(args):
     return main(args)
+
+
+def _scrubbed(path):
+    records = json.loads(path.read_text())
+    for r in records:
+        r.pop("runtime_ms")
+    return records
 
 
 def test_simulate_writes_schema(tmp_path):
@@ -58,13 +65,7 @@ def test_report_deterministic_modulo_runtime(tmp_path):
     run(args + ["--out", str(a)])
     run(args + ["--out", str(b)])
 
-    def scrub(p):
-        recs = json.loads(p.read_text())
-        for r in recs:
-            r.pop("runtime_ms")
-        return recs
-
-    assert scrub(a) == scrub(b)
+    assert _scrubbed(a) == _scrubbed(b)
 
 
 def test_moments_table(tmp_path):
@@ -156,6 +157,49 @@ def test_converge(tmp_path):
     assert run(["converge", "--lambda", "1", "--a", "1", "--seed", "5",
                 "--samples", "20000", "--steps", "200",
                 "--out", str(out)]) == 0
+
+
+MONTE_CARLO_ARGS = {
+    "dufresne": ["dufresne", "--samples", "3000"],
+    "converge": ["converge", "--samples", "2000", "--steps", "60"],
+    "verify": ["verify", "--samples", "2000", "--steps", "20",
+               "--grid-points", "1200"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MONTE_CARLO_ARGS))
+def test_monte_carlo_is_serial_by_default(command, tmp_path, monkeypatch):
+    seen = []
+    sharded = stats._sharded
+
+    def spy(draw, total, seed, workers=1):
+        seen.append(workers)
+        return sharded(draw, total, seed, workers)
+
+    monkeypatch.setattr(stats, "_sharded", spy)
+    assert run(MONTE_CARLO_ARGS[command] + ["--seed", "4",
+                                           "--out", str(tmp_path / "r.json")]) == 0
+    assert seen and set(seen) == {1}
+
+
+@pytest.mark.parametrize("command", ["dufresne", "converge"])
+def test_worker_count_never_changes_the_report(command, tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(stats.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", CountingPool)
+    reports = []
+    for extra in ([], ["--workers", "1"], ["--workers", "2"]):
+        out = tmp_path / f"r{len(reports)}.json"
+        assert run(MONTE_CARLO_ARGS[command] + ["--seed", "9", "--out",
+                                                str(out)] + extra) == 0
+        reports.append(_scrubbed(out))
+    assert pools and set(pools) == {2}  # only the explicit flag starts a pool
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_csv_report_format(tmp_path):

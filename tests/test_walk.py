@@ -290,10 +290,49 @@ def test_batch_engine_marks():
     assert np.array_equal(out[:, 1], full[:, 2])
 
 
-def test_n_infinity_negative_shape_diverges():
-    # E[log gamma] < 0: the series must raise, never return overflow values
-    with pytest.raises(DivergenceError):
-        n_infinity_batch(-0.3, 1.0, 50, np.random.default_rng(SEED))
+def _n_infinity_gather_scatter(lam, a, size, rng, tail_tol=1e-10, window=50):
+    """Oracle: the perpetuity loop that keeps every sample's state at full
+    size and gathers and scatters the live ones through an index array."""
+    params = GigParams.symmetric(lam, a)
+    total = np.zeros(size)
+    log_prefix = np.zeros(size)
+    persist = np.zeros(size, dtype=np.int64)
+    active = np.arange(size)
+    while active.size:
+        log_g = np.log(gig_sample(params, rng, active.size))
+        with np.errstate(over="ignore", under="ignore"):
+            total[active] += np.exp(log_prefix[active] - log_g)
+            log_prefix[active] -= 2.0 * log_g
+            small = np.exp(log_prefix[active]) < tail_tol * total[active]
+        persist[active] = np.where(small, persist[active] + 1, 0)
+        active = active[persist[active] < window]
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=st.floats(0.3, 3.0), a=st.floats(0.3, 3.0),
+       size=st.integers(1, 3000), window=st.integers(1, 60),
+       seed=st.integers(0, 2**32 - 1))
+@example(lam=0.3, a=3.0, size=3000, window=60, seed=0)  # slowest corner
+def test_n_infinity_compacted_loop_matches_gather_scatter(lam, a, size, window,
+                                                          seed):
+    draws = n_infinity_batch(lam, a, size, np.random.default_rng(seed),
+                             window=window)
+    oracle = _n_infinity_gather_scatter(lam, a, size,
+                                        np.random.default_rng(seed),
+                                        window=window)
+    assert np.array_equal(draws, oracle)
+
+
+def test_n_infinity_nonpositive_shape_is_rejected(monkeypatch):
+    # lambda <= 0: the series diverges a.s., so no draw may be returned; at
+    # lambda = 0 a downward excursion of the driftless walk can outlast the
+    # window, and the stopping rule alone would return finite values
+    monkeypatch.setattr(gigwalk.walk, "gig_sample", None)  # nothing is drawn
+    for lam in (-0.3, 0.0):
+        with pytest.raises(ValueError, match="lambda > 0"):
+            n_infinity_batch(lam, 1.0, 100, np.random.default_rng(SEED),
+                             max_terms=20000)
 
 
 def test_n_infinity_mean_matches_inverse_gamma():
