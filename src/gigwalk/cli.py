@@ -5,10 +5,11 @@ variable), --tol, --format and --workers; reports are flat arrays of check
 records carrying a schema_version field.  Exit status: 0 when all invoked
 checks pass, 1 when any check fails, 2 on usage or domain errors.
 
-Monte Carlo runs serially by default (--workers 1, as in the library); an
-explicit --workers N runs the fixed sample shards on a thread pool, which
-loses to one thread at the default sample sizes (stats._sharded) and never
-changes a result.
+Monte Carlo runs serially by default (--workers 1, as in the library): the
+16 fixed sample shards are stepped in lockstep groups of at most 20000
+samples, all 16 in one group at the default 20000 samples.  An explicit
+--workers N runs the groups on a thread pool, which loses to one thread at
+the default sample sizes (stats._sharded) and never changes a result.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import kernels, stats, walk
 from .gig import (GigParams, gig_log_moment_asymptotic, gig_log_moment_numeric,
-                  gig_pdf)
+                  gig_pdf, gig_sample)
 from .kernels import LogGrid
 from .walk import WalkConfig, simulate_path
 
@@ -206,16 +207,26 @@ def _cmd_reconstruct(args):
     params = GigParams.symmetric(args.lam, args.a)
 
     def worst_residual():
+        # every path's (n, p) first, then the increments of consecutive
+        # paths in sampler calls of about stats.GROUP_ELEMENTS draws: one
+        # call per path spent its time on call overhead, and one call for
+        # all paths held every draw at once (163 MB for verify's defaults)
+        ns = rng.integers(1, horizon, args.samples)
+        ps = rng.integers(0, horizon, args.samples)
+        per_call = max(1, stats.GROUP_ELEMENTS // horizon)
         worst = 0.0
-        for _ in range(args.samples):
-            n = int(rng.integers(1, horizon))
-            p = int(rng.integers(0, horizon))
-            config = WalkConfig(params, 1.0, n + p, 0)
-            path = simulate_path(config, rng=rng)
-            zs = path.zs[n - 1:n + p]
-            n_future = walk.n_parts(path, n + p).n_na
-            rec = walk.reconstruct_x_finite(zs, n_future)
-            worst = max(worst, abs(rec / path.xs[n - 1] - 1.0))
+        for lo in range(0, args.samples, per_call):
+            batch_n, batch_p = ns[lo:lo + per_call], ps[lo:lo + per_call]
+            lengths = batch_n + batch_p
+            gammas = np.split(gig_sample(params, rng, int(lengths.sum())),
+                              np.cumsum(lengths)[:-1])
+            for n, p, g in zip(batch_n.tolist(), batch_p.tolist(), gammas):
+                config = WalkConfig(params, 1.0, n + p, 0)
+                path = simulate_path(config, gammas=g)
+                zs = path.zs[n - 1:n + p]
+                n_future = walk.n_parts(path, n + p).n_na
+                rec = walk.reconstruct_x_finite(zs, n_future)
+                worst = max(worst, abs(rec / path.xs[n - 1] - 1.0))
         return worst
 
     res, ms = _timed(worst_residual)
@@ -280,9 +291,10 @@ def _build_parser():
                        default="json", help="report format (default json)")
         p.add_argument("--workers", type=int, default=1,
                        help="Monte Carlo worker threads (default 1); N > 1 "
-                            "runs the 16 fixed sample shards on a thread "
-                            "pool, which pays only for large shards; results "
-                            "never depend on it")
+                            "runs the lockstep groups of the 16 fixed sample "
+                            "shards (at most 20000 samples a group) on a "
+                            "thread pool, which pays only for large groups; "
+                            "results never depend on it")
         return p
 
     common(sub.add_parser("simulate", help="dump one walk path as CSV"))

@@ -23,6 +23,7 @@ from .specfun import log_bessel_k
 __all__ = [
     "GigParams",
     "InvGammaParams",
+    "Streams",
     "gig_cdf",
     "gig_log_moment_asymptotic",
     "gig_log_moment_numeric",
@@ -125,7 +126,66 @@ def gig_mean(params: GigParams) -> float:
     )
 
 
-def _sample_log_symmetric(lam: float, c: float, rng, size: int) -> np.ndarray:
+class Streams:
+    """Generators stepped in lockstep over one batch of draws.
+
+    Segment i of a batch holds counts[i] draws, all taken from rngs[i] in the
+    order a call on rngs[i] alone for counts[i] draws takes them.  A batch
+    drawn through Streams is therefore the concatenation of the per-generator
+    batches bit for bit, while the arithmetic on it runs once over the whole
+    batch (see stats._sharded).  gig_sample, walk.simulate_batch,
+    walk.n_infinity_batch and stats.simulate_my_continuous take a Streams
+    of `size` draws in place of a Generator.
+    """
+
+    __slots__ = ("rngs", "counts", "_edges")
+
+    def __init__(self, rngs, counts):
+        self.rngs = tuple(rngs)
+        self.counts = [int(c) for c in counts]
+        if len(self.rngs) != len(self.counts) or min(self.counts, default=0) < 0:
+            raise ValueError("need one nonnegative count per generator")
+        self._edges = None
+
+    @classmethod
+    def of(cls, rng, size: int) -> "Streams":
+        """`rng` itself if it is a Streams of `size` draws, else one segment."""
+        if not isinstance(rng, Streams):
+            return cls((rng,), (size,))
+        if rng.size != size:
+            raise ValueError(f"streams hold {rng.size} draws, not {size}")
+        return rng
+
+    @property
+    def size(self) -> int:
+        return sum(self.counts)
+
+    def kept(self, index) -> "Streams":
+        """The streams of the sorted batch positions `index` (say, the draws
+        still pending), each kept position staying with its generator."""
+        if len(self.rngs) == 1:
+            return Streams(self.rngs, (len(index),))
+        if self._edges is None:  # kept is called once a rejection round
+            self._edges = np.cumsum([0] + self.counts)
+        ends = np.searchsorted(index, self._edges)
+        return Streams(self.rngs, (ends[1:] - ends[:-1]).tolist())
+
+    def standard_normal(self, out: np.ndarray) -> None:
+        self._fill("standard_normal", out)
+
+    def random(self, out: np.ndarray) -> None:
+        self._fill("random", out)
+
+    def _fill(self, method: str, out: np.ndarray) -> None:
+        start = 0
+        for rng, count in zip(self.rngs, self.counts):
+            if count:
+                getattr(rng, method)(out=out[start:start + count])
+                start += count
+
+
+def _sample_log_symmetric(lam: float, c: float, streams: Streams,
+                          size: int) -> np.ndarray:
     """Draw T = log X for X ~ GIG(lam, sqrt(c), sqrt(c)), density prop. to
     exp(psi(t)) with psi(t) = lam*t - c*cosh(t).
 
@@ -137,12 +197,21 @@ def _sample_log_symmetric(lam: float, c: float, rng, size: int) -> np.ndarray:
     throughout |lam| <= 5, c >= 0.2 and tends to 1 for large c, but it falls
     like sqrt(c) as c -> 0 (7.4e-4 at lam = 2, c = 1e-6, i.e. a = 1e-3):
     after 10,000 rounds the draw gives up with ValueError.
+
+    Each round fills the pending draws of every segment of `streams` from
+    its own generator, normals first, then uniforms, and tests them all at
+    once.  Every trial is written to its slot, so an accepted draw is never
+    overwritten; the rejected slots are kept by integer index, as gathers
+    through the random acceptance mask cost about 5 ns an element.
     """
     tstar = float(np.arcsinh(lam / c))
     psistar = lam * tstar - c * np.cosh(tstar)
     sd = 1.0 / np.sqrt(c)
     out = np.empty(size)
+    normals = np.empty(size)
+    uniforms = np.empty(size)
     pending = np.arange(size)
+    live = streams
     rounds = 0
     # a cosh that overflows (|t| > 710, reached at small c) gives log_accept =
     # -inf: a correct rejection, so the warning is silenced for the whole call
@@ -154,22 +223,27 @@ def _sample_log_symmetric(lam: float, c: float, rng, size: int) -> np.ndarray:
                     f"GIG rejection sampler gave up after 10000 rounds at "
                     f"lam={lam:g}, c={c:g} with {pending.size} draws left: "
                     f"acceptance per round is too low at these parameters")
-            t = tstar + sd * rng.standard_normal(pending.size)
+            t, u = normals[:pending.size], uniforms[:pending.size]
+            live.standard_normal(t)
+            live.random(u)
+            t *= sd
+            t += tstar
             log_accept = lam * t - c * np.cosh(t) - psistar + 0.5 * c * (t - tstar) ** 2
-            accept = np.log(rng.random(pending.size)) < log_accept
-            out[pending[accept]] = t[accept]
-            pending = pending[~accept]
+            accept = np.log(u) < log_accept
+            out[pending] = t
+            pending = pending[np.flatnonzero(~accept)]
+            live = streams.kept(pending)
     return out
 
 
 def gig_sample(params: GigParams, rng, size=None):
-    """Exact GIG draws.
+    """Exact GIG draws from a Generator, or from a Streams of `size` draws.
 
     The asymmetric case reduces to the symmetric one through the scaling
     property: X = (a/b) U with U ~ GIG(lambda, sqrt(ab), sqrt(ab)).
     """
     n = 1 if size is None else int(size)
-    t = _sample_log_symmetric(params.lam, params.ab, rng, n)
+    t = _sample_log_symmetric(params.lam, params.ab, Streams.of(rng, n), n)
     x = (params.a / params.b) * np.exp(t)
     if size is None:
         return float(x[0])

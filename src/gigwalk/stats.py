@@ -7,8 +7,12 @@ coordinate, the empirical generator of the scaled chain, and independence
 of the Z process from the limiting NA-part.
 
 Every check is deterministic given (seed, parameters): sample generation is
-split over a fixed number of logical shards with independently derived
-streams, so results are bit-identical for any worker count.
+split over 16 fixed logical shards with independently derived streams.
+Consecutive shards are joined into lockstep groups of at most
+GROUP_ELEMENTS samples, all 16 at the default 20000 samples.  A group
+draws each shard's numbers from that shard's own generator and does the
+arithmetic once over the group, so results are bit-identical for any
+grouping and any worker count (see _sharded).
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gig import GigParams, InvGammaParams, inverse_gamma_cdf, spawn_rngs
+from .gig import (GigParams, InvGammaParams, Streams, inverse_gamma_cdf,
+                  spawn_rngs)
 from .gig import gig_sample  # noqa: F401  (perfbench's tracer test reads stats.gig_sample)
 from .kernels import my_generator_coefficients
 from .walk import n_infinity_batch, simulate_batch
@@ -48,6 +53,9 @@ __all__ = [
 ]
 
 SHARDS = 16  # fixed logical stream count; workers only affect scheduling
+# most samples a lockstep group of shards holds (see _sharded); also the
+# batch in which the CLI's reconstruct check draws its increments
+GROUP_ELEMENTS = 20000
 
 
 class InsufficientConditioningError(RuntimeError):
@@ -142,27 +150,50 @@ def _shard_counts(total: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(SHARDS)]
 
 
-def _sharded(draw, total: int, seed: int, workers: int = 1) -> np.ndarray:
-    """Run draw(count, rng) over the fixed shards and concatenate along the
-    last axis in shard order; the result never depends on the worker count.
-
-    workers = 1 (the default here and in the CLI) runs the shards in order;
-    workers > 1 runs them on a thread pool.  The pool only pays when each
-    shard's numpy calls are large enough to outweigh the interpreter lock:
-    on a 2-core host two threads ran elementwise numpy at 0.40x serial on
-    1250 elements (a shard of a 20000-sample run), 0.74x on 6250 and 1.88x
-    on 1e6.
-    """
+def _groups(total: int, seed: int) -> list[Streams]:
+    """The fixed shards of `total` samples, joined in order into groups of
+    at most GROUP_ELEMENTS samples (at least one shard each); empty shards
+    are left out."""
     if total < 1:
         raise ValueError(f"samples must be at least 1, got {total}")
     counts = _shard_counts(total)
-    rngs = spawn_rngs(seed, SHARDS)
-    jobs = [(c, r) for c, r in zip(counts, rngs) if c > 0]
+    jobs = [(r, c) for r, c in zip(spawn_rngs(seed, SHARDS), counts) if c > 0]
+    per = max(1, GROUP_ELEMENTS // counts[0])
+    return [Streams(*zip(*jobs[i:i + per])) for i in range(0, len(jobs), per)]
+
+
+def _sharded(draw, total: int, seed: int, workers: int = 1) -> np.ndarray:
+    """Run draw(count, streams) over the shard groups and concatenate along
+    the last axis in shard order.
+
+    Each group steps its shards in lockstep: every sampler call fills each
+    shard's segment from that shard's own generator and does the arithmetic
+    once over the group (gig.Streams).  Every generator so yields exactly
+    the numbers it yields when its shard runs alone, and the result never
+    depends on the grouping or the worker count.  A draw whose output is not
+    per sample (a sum, say) must reduce each shard's segment on its own.
+
+    Lockstep pays because at 20000 samples the cost is numpy calls on small
+    arrays, not draws.  On a 2-core host, n_part_statistics at 20000
+    samples, summed over (lam, a) = (1.25, 1.25), (2, 0.5), (0.5, 2) and
+    (2, 2), took 5.9 s one shard at a time, 3.3 s in groups of 4 shards,
+    2.9 s in groups of 8 and 2.6 s with all 16 joined.  At 1e5 samples (6250
+    a shard) the arrays leave the cache: dufresne_test took 4.2 s one shard
+    at a time, 3.6 s in groups of 3 and 4.0-4.3 s in groups of 5, 8 or 16;
+    hence the budget of 20000 samples.
+
+    workers = 1 (the default here and in the CLI) runs the groups in order;
+    workers > 1 runs them on a thread pool.  The pool only pays when each
+    group's numpy calls are large enough to outweigh the interpreter lock:
+    on a 2-core host two threads ran elementwise numpy at 0.40x serial on
+    1250 elements, 0.74x on 6250 and 1.88x on 1e6.
+    """
+    groups = _groups(total, seed)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda cr: draw(*cr), jobs))
+            parts = list(pool.map(lambda g: draw(g.size, g), groups))
     else:
-        parts = [draw(c, r) for c, r in jobs]
+        parts = [draw(g.size, g) for g in groups]
     return np.concatenate(parts, axis=-1)
 
 
@@ -191,6 +222,8 @@ def n_part_statistics(lam: float, a: float, checkpoints, samples: int,
     if lam <= 0.0:
         raise ValueError("convergence requires lambda > 0")
     marks = sorted(set(int(c) for c in checkpoints))
+    if not marks or marks[0] < 1:
+        raise ValueError(f"checkpoints must be at least 1, got {marks[:1]}")
     params = GigParams.symmetric(lam, a)
     table = _sharded(lambda c, r: simulate_batch(params, 1.0, c, r, marks)[1],
                      samples, seed, workers)
@@ -245,9 +278,10 @@ def simulate_my_continuous(config: BrownianConfig, rng=None, size=None,
                            normals=None):
     """Draws of e^{B_t} * int_0^t e^{-2 B_s} ds on the config mesh.
 
-    Left-endpoint Riemann sum of the integrand, O(dt) bias.  `normals`
-    (scalar, per-step vector, or (steps, size) array) replaces the Gaussian
-    stream for deterministic checks; normals=0 with drift 0 gives exactly t.
+    Left-endpoint Riemann sum of the integrand, O(dt) bias.  `rng` may be a
+    gig.Streams of `size` draws.  `normals` (scalar, per-step vector, or
+    (steps, size) array) replaces the Gaussian stream for deterministic
+    checks; normals=0 with drift 0 gives exactly t.
     """
     count = 1 if size is None else int(size)
     steps = config.steps
@@ -255,12 +289,15 @@ def simulate_my_continuous(config: BrownianConfig, rng=None, size=None,
     inj = None if normals is None else np.asarray(normals, dtype=float)
     if rng is None and inj is None:
         raise ValueError("either rng or injected normals is required")
+    streams = None if inj is not None else Streams.of(rng, count)
     b = np.zeros(count)
     acc = np.zeros(count)
+    drawn = np.empty(count)
     for k in range(steps):
         acc += np.exp(-2.0 * b) * config.dt
         if inj is None:
-            xi = rng.standard_normal(count)
+            streams.standard_normal(drawn)
+            xi = drawn
         elif inj.ndim == 0:
             xi = inj
         elif inj.ndim == 1:
@@ -343,12 +380,17 @@ def generator_drift_check(lam: float, z: float, n: int, samples: int,
     paths_total = max(SHARDS, int(np.ceil(samples / max(n - burn, 1))))
     eps = eps_frac * z
 
-    def accumulate(count, rng):
-        log_x, n_na = simulate_batch(params, delta, count, rng,
+    def accumulate(count, streams):
+        log_x, n_na = simulate_batch(params, delta, count, streams,
                                      range(burn, n + 1))
         zz = n_na * np.exp(log_x)  # Z_burn .. Z_n
-        dz = np.diff(zz, axis=0)[np.abs(zz[:-1] - z) < eps]
-        return np.array([[float(dz.size)], [float(dz.sum())], [float(dz @ dz)]])
+        sums = []
+        edges = np.cumsum([0] + streams.counts)
+        for lo, hi in zip(edges[:-1], edges[1:]):  # one column per shard
+            zs = zz[:, lo:hi]
+            dz = np.diff(zs, axis=0)[np.abs(zs[:-1] - z) < eps]
+            sums.append([float(dz.size), float(dz.sum()), float(dz @ dz)])
+        return np.array(sums).T
 
     table = _sharded(accumulate, paths_total, seed, workers)
     hits = int(table[0].sum())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gig import GigParams, gig_sample
+from .gig import GigParams, Streams, gig_sample
 
 __all__ = [
     "DivergenceError",
@@ -126,14 +126,18 @@ def simulate_path(config: WalkConfig, rng=None, gammas=None) -> WalkPath:
 def simulate_batch(params: GigParams, delta: float, count: int, rng,
                    marks) -> np.ndarray:
     """Step `count` independent walks to max(marks), one gig_sample call of
-    `count` draws per step; returns (log X, N) stacked at the sorted marks,
-    shape (2, len(marks), count).  Mark 0 is the identity: log X = N = 0.
+    `count` draws per step (`rng` may be a Streams of `count` draws);
+    returns (log X, N) stacked at the sorted marks, shape
+    (2, len(marks), count).  Mark 0 is the identity: log X = N = 0; a
+    negative mark raises ValueError.
 
     N grows by the positive terms delta exp(-log gamma - 2 log X), which may
     underflow to 0 but overflow only for log X below -354; callers derive
     Z = N exp(log X) at the marks they need.
     """
     marks = sorted(set(int(m) for m in marks))
+    if marks and marks[0] < 0:
+        raise ValueError(f"marks must be nonnegative, got {marks[0]}")
     log_x = np.zeros(count)
     n = np.zeros(count)
     out = np.empty((2, len(marks), count))
@@ -242,11 +246,14 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
 
     The loop carries only the live draws' state, compacted whenever some
     stop, and writes a draw to the output once; each term makes one
-    gig_sample call of one draw per live sample.
+    gig_sample call of one draw per live sample.  `rng` may be a Streams of
+    `size` draws: each live sample then keeps drawing from its own segment's
+    generator.
     """
     params = GigParams.symmetric(lam, a)
     if lam <= 0.0:
         raise ValueError(f"the perpetuity series requires lambda > 0, got {lam}")
+    streams = live_streams = Streams.of(rng, size)
     out = np.empty(size)
     live = np.arange(size)
     total = np.zeros(size)
@@ -255,7 +262,7 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
     for _ in range(max_terms):
         if not live.size:
             return out
-        log_g = np.log(gig_sample(params, rng, live.size))
+        log_g = np.log(gig_sample(params, live_streams, live.size))
         with np.errstate(over="ignore", under="ignore"):
             total += np.exp(log_prefix - log_g)
             log_prefix -= 2.0 * log_g
@@ -270,6 +277,7 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
             out[live[~going]] = total[~going]
             live, total = live[going], total[going]
             log_prefix, persist = log_prefix[going], persist[going]
+            live_streams = streams.kept(live)
     raise DivergenceError(
         f"perpetuity series still active after {max_terms} terms; "
         "requires E[log gamma] > 0 (lambda > 0)")

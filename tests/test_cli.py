@@ -146,6 +146,12 @@ def test_invalid_sample_count_exits_2(argv, capsys):
     assert "samples must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_converge_below_one_step_exits_2(steps, capsys):
+    assert run(["converge", "--steps", steps, "--samples", "200"]) == 2
+    assert "at least 1" in capsys.readouterr().err
+
+
 def test_reconstruct(tmp_path):
     out = tmp_path / "r.json"
     assert run(["reconstruct", "--lambda", "1", "--a", "1", "--seed", "5",

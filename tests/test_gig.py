@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from gigwalk.gig import (GigParams, InvGammaParams, gig_cdf,
+from gigwalk.gig import (GigParams, InvGammaParams, Streams, gig_cdf,
                          gig_log_moment_asymptotic, gig_log_moment_numeric,
                          gig_mean, gig_pdf, gig_sample, gig_scale,
                          inverse_gamma_cdf, inverse_gamma_mean,
@@ -200,3 +200,22 @@ def test_spawn_rngs_independent_and_reproducible():
     for u, v in zip(a, b):
         assert np.array_equal(u, v)
     assert not np.array_equal(a[0], a[1])
+
+
+def test_streams_fill_each_segment_from_its_own_generator():
+    params = GigParams.symmetric(1.5, 0.7)
+    alone = [gig_sample(params, r, c)
+             for r, c in zip(spawn_rngs(SEED, 3), (5, 0, 40))]
+    streams = Streams(spawn_rngs(SEED, 3), (5, 0, 40))
+    assert np.array_equal(gig_sample(params, streams, 45), np.concatenate(alone))
+    assert streams.kept(np.array([0, 4, 5, 44])).counts == [2, 0, 2]
+
+
+def test_streams_validation():
+    rngs = spawn_rngs(SEED, 2)
+    with pytest.raises(ValueError):
+        Streams(rngs, (3,))
+    with pytest.raises(ValueError):
+        Streams(rngs, (3, -1))
+    with pytest.raises(ValueError, match="hold 7 draws"):
+        gig_sample(GigParams.symmetric(1.0, 1.0), Streams(rngs, (3, 4)), 8)

@@ -146,6 +146,21 @@ def test_detailed_balance_where_densities_underflow():
         assert check_detailed_balance(lam, 20.0, np.column_stack([x, y])) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(0.05, 10.0), a=st.floats(0.1, 60.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_detailed_balance_holds_to_rounding_at_any_a(lam, a, seed):
+    # the CLI's pairs; at a = 30 the summed log-densities read up to 1.8e-12
+    pairs = np.exp(np.random.default_rng(seed).normal(0.0, 1.0, (100, 2)))
+    assert check_detailed_balance(lam, a, pairs) < 1e-12
+
+
+def test_detailed_balance_at_a_30_on_the_cli_seeds():
+    for seed in (1, 2, 7):
+        pairs = np.exp(np.random.default_rng(seed).normal(0.0, 1.0, (100, 2)))
+        assert check_detailed_balance(1.0, 30.0, pairs) < 1e-12
+
+
 def test_pi_is_inverse_gamma_alias():
     from gigwalk.gig import InvGammaParams, inverse_gamma_pdf
     xs = np.array([0.2, 1.0, 4.0])

@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from gigwalk.gig import GigParams, InvGammaParams, gig_log_moment_numeric, inverse_gamma_cdf
+from gigwalk import stats
+from gigwalk.gig import (GigParams, InvGammaParams, gig_log_moment_numeric,
+                         gig_sample, inverse_gamma_cdf, spawn_rngs)
 from gigwalk.stats import (BrownianConfig, EmpiricalSample,
                            InsufficientConditioningError, donsker_check,
                            dufresne_test, generator_drift_check,
@@ -12,6 +16,7 @@ from gigwalk.stats import (BrownianConfig, EmpiricalSample,
                            n_part_statistics, report_record,
                            scaling_limit_test, simulate_my_continuous,
                            z_independence_check)
+from gigwalk.walk import n_infinity_batch, simulate_batch
 
 SEED = 16180339
 
@@ -228,3 +233,46 @@ def test_report_record_fields():
     assert rec["schema_version"] == 1
     assert set(rec) == {"schema_version", "test", "params", "seed",
                         "statistic", "threshold", "pass", "runtime_ms"}
+
+
+LOCKSTEP_DRAWS = {
+    "gig_sample": lambda lam, a: lambda c, r: gig_sample(
+        GigParams.symmetric(lam, a), r, c),
+    "simulate_batch": lambda lam, a: lambda c, r: simulate_batch(
+        GigParams.symmetric(lam, a), 0.5, c, r, [0, 3, 7]),
+    "n_infinity_batch": lambda lam, a: lambda c, r: n_infinity_batch(lam, a, c, r),
+    "euler": lambda lam, a: lambda c, r: simulate_my_continuous(
+        BrownianConfig(lam, 0.05, 0.01), r, c),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(draw=st.sampled_from(sorted(LOCKSTEP_DRAWS)), lam=st.floats(0.3, 3.0),
+       a=st.floats(0.3, 3.0), total=st.integers(1, 3000),
+       budget=st.sampled_from([1, 50, 400, 20000]), workers=st.sampled_from([1, 2]),
+       seed=st.integers(0, 2**32 - 1))
+def test_lockstep_groups_equal_one_shard_at_a_time(draw, lam, a, total, budget,
+                                                   workers, seed):
+    fn = LOCKSTEP_DRAWS[draw](lam, a)
+    alone = [fn(c, r) for c, r in zip(stats._shard_counts(total),
+                                      spawn_rngs(seed, stats.SHARDS)) if c > 0]
+    with mock.patch.object(stats, "GROUP_ELEMENTS", budget):
+        groups = stats._groups(total, seed)
+        joined = stats._sharded(fn, total, seed, workers)
+    assert sum(g.size for g in groups) == total
+    assert all(len(g.counts) == 1 or g.size <= budget for g in groups)
+    assert np.array_equal(joined, np.concatenate(alone, axis=-1))
+
+
+def test_default_sample_counts_join_all_shards_but_not_at_1e5():
+    assert len(stats._groups(20000, 1)) == 1
+    assert len(stats._groups(13, 1)) == 1  # empty shards are left out
+    assert len(stats._groups(13, 1)[0].counts) == 13
+    at_1e5 = stats._groups(10**5, 1)
+    assert len(at_1e5) > 1 and all(g.size <= stats.GROUP_ELEMENTS for g in at_1e5)
+
+
+def test_checkpoints_below_one_raise():
+    for marks in ([0, 10], [-3], []):
+        with pytest.raises(ValueError, match="checkpoints"):
+            n_part_statistics(1.0, 1.0, marks, 100, 1)

@@ -419,3 +419,9 @@ def test_csv_export_schema():
     assert int(first[0]) == 1
     assert float(first[1]) == path.gammas[0]
     assert float(first[3]) == pytest.approx(path.zs[0], rel=1e-16)
+
+
+def test_simulate_batch_rejects_a_negative_mark():
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate_batch(GigParams.symmetric(1.0, 1.0), 1.0, 10,
+                       np.random.default_rng(0), [5, -3])
