@@ -32,6 +32,11 @@ from .walk import WalkConfig, simulate_path
 
 DEFAULT_SEED = 20260810
 DEFAULT_Z_SOURCES = "0.2,1,5"
+# reconstruct's increments per sampler call.  Swept over 2000-100000 on a
+# 2-core x86-64 host: 200 x 30 paths take 15-20 ms at any size; 20000 x 100
+# take 1.5-1.8 s below 20000 and 1.1-1.5 s from 20000 up, where peak RSS
+# grows from 57 MB (20000) to 63 MB (100000)
+RECONSTRUCT_DRAWS = 20000
 
 
 def _timed(fn):
@@ -208,12 +213,12 @@ def _cmd_reconstruct(args):
 
     def worst_residual():
         # every path's (n, p) first, then the increments of consecutive
-        # paths in sampler calls of about stats.GROUP_ELEMENTS draws: one
-        # call per path spent its time on call overhead, and one call for
-        # all paths held every draw at once (163 MB for verify's defaults)
+        # paths in sampler calls of about RECONSTRUCT_DRAWS draws: one call
+        # per path spent its time on call overhead, and one call for all
+        # paths held every draw at once (163 MB for verify's defaults)
         ns = rng.integers(1, horizon, args.samples)
         ps = rng.integers(0, horizon, args.samples)
-        per_call = max(1, stats.GROUP_ELEMENTS // horizon)
+        per_call = max(1, RECONSTRUCT_DRAWS // horizon)
         worst = 0.0
         for lo in range(0, args.samples, per_call):
             batch_n, batch_p = ns[lo:lo + per_call], ps[lo:lo + per_call]

@@ -55,9 +55,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammainccinv, gammaincinv
+from scipy.special import gammainccinv, gammaincinv, gammaln
 
-from .gig import InvGammaParams, _inverse_gamma_logpdf
+from .gig import InvGammaParams
 from .specfun import log_bessel_k
 
 __all__ = [
@@ -233,18 +233,20 @@ def lambda_density(lam: float, a: float, z, x):
     return _as_out(logv)
 
 
-def _ktilde_root(x, y):
-    """s = sqrt(1 + 4xy) and the stable root g = 2y / (1 + s) of g^2 x + g = y."""
+def _ktilde_terms(lam: float, a: float, x, y):
+    """The x, y-dependent terms of log ktilde: log s, the power term
+    -(lam + 1) log g and the scale term -(a^2/2)(g + 1/g), with
+    s = sqrt(1 + 4xy) and the stable root g = 2y / (1 + s) of g^2 x + g = y.
+    Evaluated in the precision of x and y."""
     s = np.sqrt(1.0 + 4.0 * x * y)
-    return s, 2.0 * y / (1.0 + s)
+    g = 2.0 * y / (1.0 + s)
+    return np.log(s), (-lam - 1.0) * np.log(g), -(0.5 * (a * a) * (g + 1.0 / g))
 
 
 def _ktilde_logpdf(lam: float, a: float, x, y):
     x, y = _pos(x, "x"), _pos(y, "y")
-    a2 = a * a
-    s, g = _ktilde_root(x, y)
-    return (-np.log(2.0) - log_bessel_k(lam, a2) - np.log(s)
-            + (-lam - 1.0) * np.log(g) - 0.5 * a2 * (g + 1.0 / g))
+    log_s, power, scale = _ktilde_terms(lam, a, x, y)
+    return -np.log(2.0) - log_bessel_k(lam, a * a) - log_s + power + scale
 
 
 def ktilde_density(lam: float, a: float, x, y):
@@ -254,10 +256,20 @@ def ktilde_density(lam: float, a: float, x, y):
     return _as_out(_ktilde_logpdf(lam, a, x, y))
 
 
+def _pi_terms(lam: float, a: float, x):
+    """The x-dependent terms of log pi: the power term -(lam + 1) log x and
+    the scale term -(a^2/2) / x, in the precision of x."""
+    return -(lam + 1.0) * np.log(x), -(a * a / 2.0) / x
+
+
 def _pi_logpdf(lam: float, a: float, x):
+    """Inverse-gamma(lam, a^2/2) log-density, summed in the order of
+    gig._inverse_gamma_logpdf."""
     if lam <= 0.0:
         raise ValueError("stationary law requires lambda > 0")
-    return _inverse_gamma_logpdf(InvGammaParams(lam, a * a / 2.0), x)
+    beta = InvGammaParams(lam, a * a / 2.0).scale  # rejects a = 0
+    power, scale = _pi_terms(lam, a, _pos(x, "x"))
+    return lam * np.log(beta) - gammaln(lam) + power + scale
 
 
 def pi_density(lam: float, a: float, x):
@@ -520,30 +532,27 @@ def check_stationarity(lam: float, a: float,
 
 def check_detailed_balance(lam: float, a: float, pairs) -> float:
     """Max |pi(x) ktilde(x,y) / (pi(y) ktilde(y,x)) - 1| over the given pairs,
-    formed from log-densities with the large terms cancelled in closed form.
+    formed from the terms of the two log-densities (_pi_terms, _ktilde_terms).
 
-    With s = sqrt(1 + 4xy) and g(x, y) = 2y / (1 + s),
-
-        log pi(x)        = C_pi - (lam + 1) log x - (a^2/2) / x
-        log ktilde(x, y) = C_k - log s - (lam + 1) log g - (a^2/2) (g + 1/g).
-
-    The normalizers C_pi, C_k appear once with each sign, and the a^2 terms
-    cancel because 1/x + g + 1/g is symmetric in x and y (s^2 = 1 + 4xy
-    gives (1 + s) / (2xy) = 2 / (s - 1)).  Both grow like a^2 (log K_lam(a^2)
-    ~ -a^2), so summed as floats they left rounding of order a^2 eps, 1.8e-12
-    at a = 30.  What is summed is the power and Jacobian terms, O(1) in size:
-    the check certifies ktilde's root and Jacobian against pi's power law.
+    The normalizers appear once with each sign, so they are left out, not
+    summed; that is the only cancellation taken on trust.  The power,
+    Jacobian and scale terms are the densities' own, evaluated again in
+    extended precision (np.longdouble): the scale terms grow like a^2 / x,
+    and in float64 their sum kept rounding of order a^2 eps / x, 1.8e-12 at
+    a = 30.  Where longdouble is no wider than float64 that rounding returns.
     """
     if lam <= 0.0:
         raise ValueError("stationary law requires lambda > 0")
-    if not a > 0.0:
-        raise ValueError("a must be positive")
+    InvGammaParams(lam, a * a / 2.0)  # rejects a = 0
     pairs = np.asarray(pairs, dtype=float)
-    x, y = _pos(pairs[:, 0], "x"), _pos(pairs[:, 1], "y")
-    s_xy, g_xy = _ktilde_root(x, y)
-    s_yx, g_yx = _ktilde_root(y, x)
-    log_ratio = ((lam + 1.0) * (np.log(y) - np.log(x) - np.log(g_xy) + np.log(g_yx))
-                 - np.log(s_xy) + np.log(s_yx))
+    x = _pos(pairs[:, 0], "x").astype(np.longdouble)
+    y = _pos(pairs[:, 1], "y").astype(np.longdouble)
+    pi_pow_x, pi_scale_x = _pi_terms(lam, a, x)
+    pi_pow_y, pi_scale_y = _pi_terms(lam, a, y)
+    log_s_xy, k_pow_xy, k_scale_xy = _ktilde_terms(lam, a, x, y)
+    log_s_yx, k_pow_yx, k_scale_yx = _ktilde_terms(lam, a, y, x)
+    log_ratio = ((pi_pow_x - pi_pow_y + k_pow_xy - k_pow_yx - log_s_xy + log_s_yx)
+                 + (pi_scale_x - pi_scale_y + k_scale_xy - k_scale_yx))
     return float(np.max(np.abs(np.expm1(log_ratio))))
 
 

@@ -161,6 +161,46 @@ def test_detailed_balance_at_a_30_on_the_cli_seeds():
         assert check_detailed_balance(1.0, 30.0, pairs) < 1e-12
 
 
+def _faulty_ktilde_terms(fault):
+    def terms(lam, a, x, y):
+        s = np.sqrt(1.0 + 4.0 * x * y)
+        g = 2.0 * y / (1.0 + s)
+        power, coef = -lam - 1.0, 0.5
+        if fault == "exponent":
+            power = -lam
+        elif fault == "scaled root":
+            g = g * (1.0 + 1e-6)
+        elif fault == "half root":  # g = y h(xy), the wrong root of g^2 x + g = y
+            g = y / (1.0 + s)
+        elif fault == "a2 coefficient":
+            coef = 1.0
+        return np.log(s), power * np.log(g), -(coef * (a * a) * (g + 1.0 / g))
+    return terms
+
+
+def _faulty_pi_terms(lam, a, x):
+    return -(lam + 1.0) * np.log(x), -(a * a) / x  # scale a^2, not a^2/2
+
+
+@pytest.mark.parametrize("fault", ["exponent", "scaled root", "half root",
+                                   "a2 coefficient", "pi scale"])
+def test_detailed_balance_fails_on_a_faulty_kernel(fault, monkeypatch):
+    # negative control: the check evaluates the densities' own terms, so a
+    # fault in either density must show at every a, large a included
+    correct = pi_density(1.0, 1.0, 0.7) * ktilde_density(1.0, 1.0, 0.7, 1.3)
+    if fault == "pi scale":
+        monkeypatch.setattr(kernels, "_pi_terms", _faulty_pi_terms)
+    else:
+        monkeypatch.setattr(kernels, "_ktilde_terms", _faulty_ktilde_terms(fault))
+    assert pi_density(1.0, 1.0, 0.7) * ktilde_density(1.0, 1.0, 0.7, 1.3) != correct
+    for seed in (1, 2, 7):
+        pairs = np.exp(np.random.default_rng(seed).normal(0.0, 1.0, (100, 2)))
+        for lam in (0.05, 1.0, 10.0):
+            for a in (0.1, 1.0, 30.0, 60.0):
+                with np.errstate(over="ignore"):
+                    assert check_detailed_balance(lam, a, pairs) > 1e-8
+
+
 def test_pi_is_inverse_gamma_alias():
     from gigwalk.gig import InvGammaParams, inverse_gamma_pdf
     xs = np.array([0.2, 1.0, 4.0])
