@@ -215,23 +215,34 @@ def _cmd_reconstruct(args):
         # every path's (n, p) first, then the increments of consecutive
         # paths in sampler calls of about RECONSTRUCT_DRAWS draws: one call
         # per path spent its time on call overhead, and one call for all
-        # paths held every draw at once (163 MB for verify's defaults)
+        # paths held every draw at once (163 MB for verify's defaults).  A
+        # call's paths are one WalkPath of rows padded with unit increments,
+        # and the paths of equal p are reconstructed together
         ns = rng.integers(1, horizon, args.samples)
         ps = rng.integers(0, horizon, args.samples)
         per_call = max(1, RECONSTRUCT_DRAWS // horizon)
         worst = 0.0
         for lo in range(0, args.samples, per_call):
-            batch_n, batch_p = ns[lo:lo + per_call], ps[lo:lo + per_call]
-            lengths = batch_n + batch_p
-            gammas = np.split(gig_sample(params, rng, int(lengths.sum())),
-                              np.cumsum(lengths)[:-1])
-            for n, p, g in zip(batch_n.tolist(), batch_p.tolist(), gammas):
-                config = WalkConfig(params, 1.0, n + p, 0)
-                path = simulate_path(config, gammas=g)
-                zs = path.zs[n - 1:n + p]
-                n_future = walk.n_parts(path, n + p).n_na
-                rec = walk.reconstruct_x_finite(zs, n_future)
-                worst = max(worst, abs(rec / path.xs[n - 1] - 1.0))
+            n, p = ns[lo:lo + per_call], ps[lo:lo + per_call]
+            last = n + p - 1
+            gammas = np.ones((n.size, last.max() + 1))
+            gammas[np.arange(gammas.shape[1]) <= last[:, None]] = gig_sample(
+                params, rng, int(last.sum()) + n.size)
+            path = walk.WalkPath.from_gammas(gammas, 1.0)
+            log_x, log_z = path.log_xs, path.log_zs
+            rows = np.arange(n.size)
+            # X and Z may leave the double range, as in WalkPath.xs and .zs
+            with np.errstate(over="ignore"):
+                x_n = np.exp(log_x[rows, n - 1])
+                n_future = np.exp(log_z[rows, last] - log_x[rows, last])
+                for q in np.unique(p).tolist():
+                    sel = (p == q).nonzero()[0]
+                    run = (n[sel] - 1)[:, None] + np.arange(q + 1)
+                    rec = walk.reconstruct_x_finite(
+                        np.exp(log_z[sel[:, None], run]), n_future[sel])
+                    # fmax, like max() over floats, passes over a NaN
+                    residual = np.fmax.reduce(np.abs(rec / x_n[sel] - 1.0))
+                    worst = max(worst, float(residual))
         return worst
 
     res, ms = _timed(worst_residual)

@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 SHARDS = 16  # fixed logical stream count; workers only affect scheduling
-# most samples a lockstep group of shards holds (see _sharded); also the
-# batch in which the CLI's reconstruct check draws its increments
+# most samples a lockstep group of shards holds (see _sharded)
 GROUP_ELEMENTS = 20000
 
 
@@ -176,11 +175,12 @@ def _sharded(draw, total: int, seed: int, workers: int = 1) -> np.ndarray:
     Lockstep pays because at 20000 samples the cost is numpy calls on small
     arrays, not draws.  On a 2-core host, n_part_statistics at 20000
     samples, summed over (lam, a) = (1.25, 1.25), (2, 0.5), (0.5, 2) and
-    (2, 2), took 5.9 s one shard at a time, 3.3 s in groups of 4 shards,
-    2.9 s in groups of 8 and 2.6 s with all 16 joined.  At 1e5 samples (6250
-    a shard) the arrays leave the cache: dufresne_test took 4.2 s one shard
-    at a time, 3.6 s in groups of 3 and 4.0-4.3 s in groups of 5, 8 or 16;
-    hence the budget of 20000 samples.
+    (2, 2), took 3.3 s one shard at a time, 2.0 s in groups of 4 shards,
+    1.7 s in groups of 8 and 1.6 s with all 16 joined (best of 3).  At 1e5
+    samples (6250 a shard) larger groups stop paying as the arrays leave
+    the cache: dufresne_test took 2.9 s one shard at a time, 2.3-2.6 s in
+    groups of 3, 5 or 8 and 2.8 s with all 16 joined; hence the budget of
+    20000 samples.
 
     workers = 1 (the default here and in the CLI) runs the groups in order;
     workers > 1 runs them on a thread pool.  The pool only pays when each
@@ -418,23 +418,38 @@ class ZIndependenceResult:
         return self.max_abs_correlation < self.bound
 
 
-def _dcor_unbiased(x: np.ndarray, y: np.ndarray) -> float:
-    """U-centered distance correlation (bias-corrected); ~0 under independence."""
-    n = x.size
-
-    def ucenter(v):
-        d = np.abs(v[:, None] - v[None, :])
-        rs = d.sum(axis=0)
-        out = (d - rs[None, :] / (n - 2) - rs[:, None] / (n - 2)
-               + rs.sum() / ((n - 1) * (n - 2)))
-        np.fill_diagonal(out, 0.0)
-        return out
-
-    ax, ay = ucenter(x), ucenter(y)
+def _dcov_sums(x: np.ndarray, y: np.ndarray, block: int) -> list[float]:
+    """The U-statistics dCov^2(x, y), dCov^2(x, x) and dCov^2(y, y) of each
+    disjoint block of `block` samples, from its U-centered (bias-corrected)
+    distance matrices, summed over the blocks; a tail shorter than a block
+    is left out.  The work matrices are reused from block to block."""
+    n = block
+    ax, ay, prod = np.empty((n, n)), np.empty((n, n)), np.empty((n, n))
     scale = n * (n - 3)
-    dxy = float((ax * ay).sum()) / scale
-    dxx = float((ax * ax).sum()) / scale
-    dyy = float((ay * ay).sum()) / scale
+
+    def ucenter(v, d):
+        np.subtract.outer(v, v, out=d)
+        np.abs(d, out=d)
+        rs = d.sum(axis=0)
+        r = rs / (n - 2)
+        d -= r[None, :]
+        d -= r[:, None]
+        d += rs.sum() / ((n - 1) * (n - 2))
+        np.fill_diagonal(d, 0.0)
+
+    sums = [0.0, 0.0, 0.0]
+    for lo in range(0, x.size - n + 1, n):
+        ucenter(x[lo:lo + n], ax)
+        ucenter(y[lo:lo + n], ay)
+        for i, (u, v) in enumerate(((ax, ay), (ax, ax), (ay, ay))):
+            np.multiply(u, v, out=prod)
+            sums[i] += float(prod.sum()) / scale
+    return sums
+
+
+def _dcor_unbiased(dxy: float, dxx: float, dyy: float) -> float:
+    """U-centered distance correlation from the _dcov_sums; ~0 under
+    independence."""
     if dxx <= 0.0 or dyy <= 0.0:
         return 0.0
     return float(np.sqrt(max(dxy / np.sqrt(dxx * dyy), 0.0)))
@@ -470,8 +485,11 @@ def z_independence_check(lam: float, a: float, n: int, samples: int,
         return float((um @ vm) / np.sqrt((um @ um) * (vm @ vm)))
 
     correlations = {f"Z{m}": corr(zs[m], target) for m in z_marks}
+    # pooled over every disjoint block of dcor_subsample samples: one block
+    # of 2000 read above 0.02 under the null, or below it on the control,
+    # on chance alone
     sub = min(dcor_subsample, samples)
-    dcor = _dcor_unbiased(zs[2][:sub], target[:sub])
+    dcor = _dcor_unbiased(*_dcov_sums(zs[2], target, sub))
     max_abs = max(abs(v) for v in correlations.values())
     return ZIndependenceResult(correlations, max_abs, 3.0 / np.sqrt(samples),
                                dcor, statistic)

@@ -71,7 +71,11 @@ class WalkConfig:
 
 @dataclass(frozen=True)
 class WalkPath:
-    """Realized trajectory: gammas[k] = gamma_k, log_xs[k] = log X_{k+1}, etc."""
+    """Realized trajectory: gammas[k] = gamma_k, log_xs[k] = log X_{k+1}, etc.
+
+    The arrays may hold several paths of equal length, one a row along the
+    last axis (see from_gammas).
+    """
 
     gammas: np.ndarray
     log_xs: np.ndarray
@@ -80,7 +84,7 @@ class WalkPath:
 
     @property
     def steps(self) -> int:
-        return self.gammas.size
+        return self.gammas.shape[-1]
 
     @property
     def xs(self) -> np.ndarray:
@@ -94,19 +98,28 @@ class WalkPath:
 
     @classmethod
     def from_gammas(cls, gammas, delta: float) -> "WalkPath":
+        """The path of the increments along the last axis of `gammas`.
+
+        A 2-D `gammas` holds one path a row, and each row comes out as it
+        does alone, bit for bit: cumsum and logaddexp.accumulate run along
+        the row in order.  Rows of unequal length may be padded at the end
+        with unit increments, which leave every earlier step unchanged.
+        """
         gammas = np.asarray(gammas, dtype=float)
-        if gammas.ndim != 1 or gammas.size < 1:
+        if gammas.ndim not in (1, 2) or gammas.shape[-1] < 1:
             raise ValueError("need at least one increment")
         if np.any(gammas <= 0.0):
             raise ValueError("increments must be positive")
         if delta <= 0.0:
             raise ValueError("delta must be positive")
         log_g = np.log(gammas)
-        log_xs = np.cumsum(log_g)
-        # log N_k over the perpetuity terms delta gamma_k^-1 X_k^-2, X_0 = 1
-        terms = np.log(delta) - log_g
-        terms[1:] -= 2.0 * log_xs[:-1]
-        log_zs = np.logaddexp.accumulate(terms) + log_xs
+        log_xs = np.cumsum(log_g, axis=-1)
+        # log N_k over the perpetuity terms delta gamma_k^-1 X_k^-2, X_0 = 1,
+        # then log Z = log N + log X, all in the array log_g was in
+        terms = np.subtract(np.log(delta), log_g, out=log_g)
+        terms[..., 1:] -= 2.0 * log_xs[..., :-1]
+        log_zs = np.logaddexp.accumulate(terms, axis=-1, out=terms)
+        log_zs += log_xs
         return cls(gammas, log_xs, log_zs, delta)
 
 
@@ -133,20 +146,30 @@ def simulate_batch(params: GigParams, delta: float, count: int, rng,
 
     N grows by the positive terms delta exp(-log gamma - 2 log X), which may
     underflow to 0 but overflow only for log X below -354; callers derive
-    Z = N exp(log X) at the marks they need.
+    Z = N exp(log X) at the marks they need.  The recursion runs in work
+    arrays reused from step to step, with the operations of the plain
+    expression in order.
     """
     marks = sorted(set(int(m) for m in marks))
     if marks and marks[0] < 0:
         raise ValueError(f"marks must be nonnegative, got {marks[0]}")
     log_x = np.zeros(count)
     n = np.zeros(count)
+    term = np.empty(count)
     out = np.empty((2, len(marks), count))
     step = 0
     with np.errstate(under="ignore"):
         for i, mark in enumerate(marks):
             for _ in range(mark - step):
-                log_g = np.log(gig_sample(params, rng, count))
-                n += delta * np.exp(-log_g - 2.0 * log_x)
+                log_g = gig_sample(params, rng, count)
+                np.log(log_g, out=log_g)
+                # (-2 log X) - log gamma and (-log gamma) - 2 log X are one
+                # real number (doubling and negation are exact): same double
+                np.multiply(log_x, -2.0, out=term)
+                term -= log_g
+                np.exp(term, out=term)
+                term *= delta
+                n += term
                 log_x += log_g
             step = mark
             out[0, i] = log_x
@@ -245,10 +268,10 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
     `max_terms` raises DivergenceError.
 
     The loop carries only the live draws' state, compacted whenever some
-    stop, and writes a draw to the output once; each term makes one
-    gig_sample call of one draw per live sample.  `rng` may be a Streams of
-    `size` draws: each live sample then keeps drawing from its own segment's
-    generator.
+    stop, in work arrays allocated once, and writes a draw to the output
+    once; each term makes one gig_sample call of one draw per live sample.
+    `rng` may be a Streams of `size` draws: each live sample then keeps
+    drawing from its own segment's generator.
     """
     params = GigParams.symmetric(lam, a)
     if lam <= 0.0:
@@ -256,47 +279,70 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
     streams = live_streams = Streams.of(rng, size)
     out = np.empty(size)
     live = np.arange(size)
+    # the live draws' state in the leading `k` slots of each work array
     total = np.zeros(size)
     log_prefix = np.zeros(size)
     persist = np.zeros(size, dtype=np.int64)
+    term = np.empty(size)
+    bound = np.empty(size)
+    small = np.empty(size, dtype=bool)
+    k = size
     for _ in range(max_terms):
-        if not live.size:
+        if not k:
             return out
-        log_g = np.log(gig_sample(params, live_streams, live.size))
+        tot, lp, run = total[:k], log_prefix[:k], persist[:k]
+        tm, bd, sm = term[:k], bound[:k], small[:k]
+        log_g = gig_sample(params, live_streams, k)
+        np.log(log_g, out=log_g)
         with np.errstate(over="ignore", under="ignore"):
-            total += np.exp(log_prefix - log_g)
-            log_prefix -= 2.0 * log_g
-            if not np.all(np.isfinite(total)):
+            np.subtract(lp, log_g, out=tm)
+            np.exp(tm, out=tm)
+            tot += tm
+            log_g *= 2.0
+            lp -= log_g
+            if not np.isfinite(tot).all():
                 raise DivergenceError(
                     "perpetuity series overflowed; "
                     "requires E[log gamma] > 0 (lambda > 0)")
-            small = np.exp(log_prefix) < tail_tol * total
-        persist = np.where(small, persist + 1, 0)
-        going = persist < window
+            np.exp(lp, out=tm)
+            np.multiply(tot, tail_tol, out=bd)
+            np.less(tm, bd, out=sm)
+        run += 1
+        run *= sm
+        going = run < window
         if not going.all():
-            out[live[~going]] = total[~going]
-            live, total = live[going], total[going]
-            log_prefix, persist = log_prefix[going], persist[going]
+            out[live[~going]] = tot[~going]
+            keep = going.nonzero()[0]
+            live = live[keep]
+            k = keep.size
+            total[:k], log_prefix[:k], persist[:k] = tot[keep], lp[keep], run[keep]
             live_streams = streams.kept(live)
     raise DivergenceError(
         f"perpetuity series still active after {max_terms} terms; "
         "requires E[log gamma] > 0 (lambda > 0)")
 
 
-def reconstruct_x_finite(zs, n_future: float) -> float:
+def reconstruct_x_finite(zs, n_future):
     """Finite-horizon inversion: X_n = Z_n/N_{n+p} + Z_n sum_k 1/(Z_{n+k-1} Z_{n+k}).
 
     `zs` holds Z_n .. Z_{n+p} from one path and `n_future` the NA-part
     N_{n+p} of the same path; the identity is exact for every n, p >= 0.
+    A 2-D `zs` holds one path's run a row, all of the same p, with one
+    `n_future` a row; each row's value, returned as an array, is the one
+    its row gives alone, bit for bit (numpy sums a row of a C-contiguous
+    array along the last axis as it sums that row alone).
     """
     zs = np.asarray(zs, dtype=float)
-    if zs.size < 1:
+    n_future = np.asarray(n_future, dtype=float)
+    if zs.ndim not in (1, 2) or zs.shape[-1] < 1:
         raise ValueError("need at least Z_n")
-    if np.any(zs <= 0.0) or n_future <= 0.0:
+    if np.any(zs <= 0.0) or np.any(n_future <= 0.0):
         raise ValueError("inputs must be positive")
     with np.errstate(over="ignore"):  # Z_k Z_(k+1) = inf adds 1/inf = 0, exact
-        series = np.sum(1.0 / (zs[:-1] * zs[1:]))
-    return float(zs[0] / n_future + zs[0] * series)
+        series = np.sum(1.0 / (zs[..., :-1] * zs[..., 1:]), axis=-1)
+    z_n = zs[..., 0]
+    out = z_n / n_future + z_n * series
+    return float(out) if out.ndim == 0 else out
 
 
 def reconstruct_x_limit(zs_tail=None, *, log_zs_tail=None, n_inf=None,

@@ -1,19 +1,24 @@
 """Pinned random streams: the exact statistics of small seeded runs.
 
 Each value below is the `repr` of a statistic computed from a fixed seed
-before the 16 Monte Carlo shards were stepped in lockstep (gig.Streams), so
-these tests show that the seeded streams, and with them every seeded report,
-stayed bit-identical.  The pins hold for the numpy build they were taken on
-(numpy 2.4.6, x86-64); another build's Generator or ufunc rounding may move
-them without any change to this package.
+before the 16 Monte Carlo shards were stepped in lockstep (gig.Streams), or,
+for the CLI's reconstruction statistics, before `reconstruct` assembled its
+paths as padded rows of one WalkPath, so these tests show that the seeded
+streams, and with them every seeded report, stayed bit-identical.  The
+pins hold for the numpy build they were taken on (numpy 2.4.6, x86-64);
+another build's Generator or ufunc rounding may move them without any
+change to this package.
 
 A change that alters a stream on purpose (a new sampler, a stopping rule,
 another shard layout) must edit the pins it moves here and name each one in
 CHANGES.md, together with the reason the stream changed.
 """
 
+import json
+
 import pytest
 
+from gigwalk import cli
 from gigwalk.stats import (donsker_check, dufresne_test, generator_drift_check,
                            n_part_statistics, scaling_limit_test,
                            z_independence_check)
@@ -58,3 +63,21 @@ def test_generator_drift_estimates():
     assert res.window_hits == 1316
     assert repr(res.drift_estimate) == "2.279102112914227"
     assert repr(res.diffusion_estimate) == "1.0831318399080394"
+
+
+@pytest.mark.parametrize("argv, pinned", [
+    (["reconstruct", "--seed", "3"], "4.9960036108132044e-15"),
+    (["reconstruct", "--samples", "2000", "--steps", "100", "--lambda", "0.5",
+      "--a", "2", "--seed", "21"], "9.325873406851315e-15"),
+    (["verify", "--samples", "3000", "--lambda", "2", "--a", "0.5",
+      "--seed", "4"], "2.8754776337791554e-14"),
+    (["verify", "--samples", "3000", "--lambda", "1.7", "--a", "1.3",
+      "--seed", "99"], "1.432187701766452e-14"),
+])
+def test_reconstruction_statistic(tmp_path, argv, pinned):
+    # the worst residual over every path, each batch of paths assembled as
+    # padded rows: any path whose residual moved could move it
+    report = tmp_path / "report.json"
+    assert cli.main(argv + ["--out", str(report)]) == 0
+    records = {r["test"]: r["statistic"] for r in json.loads(report.read_text())}
+    assert repr(records["reconstruction_identity"]) == pinned

@@ -368,6 +368,46 @@ def test_reconstruct_finite_overflowing_products_are_silent():
     assert val == 1.0 / 4.0 + (1.0 / 1e200 + 0.0 + 1.0 / 2e200)
 
 
+@settings(max_examples=30, deadline=None)
+@given(lam=st.floats(-3.0, 3.0), a=st.floats(0.2, 5.0),
+       delta=st.floats(0.1, 10.0),
+       lengths=st.lists(st.integers(1, 150), min_size=1, max_size=12),
+       seed=st.integers(0, 2**32 - 1))
+@example(lam=-3.0, a=0.2, delta=0.1, lengths=[150, 1, 149], seed=0)
+def test_padded_rows_equal_one_path_at_a_time(lam, a, delta, lengths, seed):
+    # ragged paths padded after their end with unit increments, as the CLI's
+    # reconstruct check builds them, come out of one call bit for bit; the
+    # explicit example's Z leaves the double range (log Z reaches 714)
+    gammas = gig_sample(GigParams.symmetric(lam, a),
+                        np.random.default_rng(seed), sum(lengths))
+    paths = np.split(gammas, np.cumsum(lengths)[:-1])
+    rows = np.ones((len(lengths), max(lengths)))
+    for row, g in zip(rows, paths):
+        row[:g.size] = g
+    batch = WalkPath.from_gammas(rows, delta)
+    assert batch.steps == max(lengths)
+    for i, g in enumerate(paths):
+        alone = WalkPath.from_gammas(g, delta)
+        for got, want in ((batch.log_xs, alone.log_xs),
+                          (batch.log_zs, alone.log_zs),
+                          (batch.xs, alone.xs), (batch.zs, alone.zs)):
+            assert np.array_equal(got[i, :g.size], want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(0, 200), rows=st.integers(1, 9),
+       seed=st.integers(0, 2**32 - 1))
+def test_reconstruct_finite_rows_equal_one_run_at_a_time(p, rows, seed):
+    # p above 128 takes numpy's pairwise summation past its first block
+    rng = np.random.default_rng(seed)
+    zs = np.exp(rng.normal(0.0, 20.0, (rows, p + 1)))
+    n_future = np.exp(rng.normal(0.0, 5.0, rows))
+    got = reconstruct_x_finite(zs, n_future)
+    assert got.shape == (rows,)
+    for i in range(rows):
+        assert got[i] == reconstruct_x_finite(zs[i], n_future[i])
+
+
 def test_reconstruct_limit_negative_drift_closed_form():
     # gamma = 1/2 gives Z_n = (2/3)(2^n - 2^-n) and X_n = 2^-n exactly
     n0 = 4
