@@ -156,6 +156,21 @@ def test_reconstruct(tmp_path):
     out = tmp_path / "r.json"
     assert run(["reconstruct", "--lambda", "1", "--a", "1", "--seed", "5",
                 "--samples", "100", "--steps", "20", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())[0]["params"]["non_finite"] == 0
+
+
+def test_reconstruct_non_finite_residuals_fail(tmp_path, capsys):
+    # X and Z leave the double range on most of these fast-drifting paths,
+    # where rec / x is inf / inf: a NaN residual must fail, not pass
+    out = tmp_path / "r.json"
+    assert run(["reconstruct", "--lambda", "2", "--a", "0.5", "--steps",
+                "1000", "--samples", "200", "--seed", "1",
+                "--out", str(out)]) == 1
+    (rec,) = json.loads(out.read_text())
+    bad = rec["params"]["non_finite"]
+    assert 0 < bad < 200 and not rec["pass"]
+    assert np.isfinite(rec["statistic"]) and rec["statistic"] < rec["threshold"]
+    assert f"{bad} of 200 residuals are non-finite" in capsys.readouterr().err
 
 
 def test_converge(tmp_path):

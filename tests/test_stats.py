@@ -1,3 +1,4 @@
+import threading
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 from scipy import special
 
 from gigwalk import stats
-from gigwalk.gig import (GigParams, InvGammaParams, gig_log_moment_numeric,
-                         gig_sample, inverse_gamma_cdf, spawn_rngs)
+from gigwalk.gig import (GigParams, InvGammaParams, Streams,
+                         gig_log_moment_numeric, gig_sample, inverse_gamma_cdf,
+                         spawn_rngs)
 from gigwalk.stats import (BrownianConfig, EmpiricalSample,
                            InsufficientConditioningError, donsker_check,
                            dufresne_test, generator_drift_check,
@@ -226,6 +228,95 @@ def test_n_part_statistics_do_not_depend_on_workers(lam, a, n, samples, seed):
 def test_scaling_limit_does_not_depend_on_workers(lam, n, t, samples, seed):
     assert (scaling_limit_test(lam, n, t, samples, 0.05, seed, workers=1)
             == scaling_limit_test(lam, n, t, samples, 0.05, seed, workers=2))
+
+
+def _euler_one_step_at_a_time(config, rng, count):
+    """The plain Euler loop: one standard_normal call per shard and step."""
+    streams = Streams.of(rng, count)
+    b, acc, drawn = np.zeros(count), np.zeros(count), np.empty(count)
+    sdt = np.sqrt(config.dt)
+    for _ in range(config.steps):
+        acc += np.exp(-2.0 * b) * config.dt
+        streams.standard_normal(drawn)
+        b = b + config.drift * config.dt + sdt * drawn
+    return np.exp(b) * acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(blocks=st.integers(1, 3), offset=st.sampled_from([-1, 0, 1]),
+       drift=st.floats(-2.0, 3.0),
+       source=st.sampled_from(["generator", "streams", "sharded"]),
+       counts=st.lists(st.integers(0, 187), min_size=1, max_size=16).filter(
+           lambda c: sum(c) >= 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_euler_blocks_equal_one_step_at_a_time(blocks, offset, drift, source,
+                                               counts, seed):
+    # step counts just below, at and just past a block multiple; the mesh
+    # ends at steps*dt, short of t
+    steps = blocks * stats.EULER_BLOCK_STEPS + offset
+    config = BrownianConfig(drift, (steps + 0.25) * 0.01, 0.01)
+    assert config.steps == steps
+    total = sum(counts)
+
+    def fresh():
+        if source == "generator":
+            return np.random.default_rng(seed)
+        return Streams(spawn_rngs(seed, len(counts)), counts)
+
+    if source != "sharded":
+        got = simulate_my_continuous(config, fresh(), total)
+        want = _euler_one_step_at_a_time(config, fresh(), total)
+    else:  # several lockstep groups on two workers
+        with mock.patch.object(stats, "GROUP_ELEMENTS", max(1, total // 3)):
+            assert len(stats._groups(total, seed)) > 1 or total == 1
+            got = stats._sharded(
+                lambda c, r: simulate_my_continuous(config, r, c), total, seed,
+                workers=2)
+        want = np.concatenate([
+            _euler_one_step_at_a_time(config, r, c)
+            for c, r in zip(stats._shard_counts(total),
+                            spawn_rngs(seed, stats.SHARDS)) if c > 0])
+    assert np.array_equal(got, want)
+
+
+class _FailingGenerator:
+    """A Generator whose third standard_normal fill raises."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def standard_normal(self, out):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("fill failed")
+        self.rng.standard_normal(out=out)
+
+
+def test_euler_helper_thread_ends_with_the_call_and_errors_propagate():
+    config = BrownianConfig(0.5, 1.0, 0.01)  # 100 steps, 13 blocks
+    before = threading.active_count()
+    simulate_my_continuous(config, np.random.default_rng(1), 100)
+    assert threading.active_count() == before
+    outcomes = []
+
+    def call(rngs):
+        try:
+            simulate_my_continuous(config, Streams(rngs, [50] * len(rngs)),
+                                   50 * len(rngs))
+        except RuntimeError as exc:
+            outcomes.append(str(exc))
+
+    # a failing fill in either thread: the helper and this thread both take
+    # shards, so which one meets the failing generator is not fixed
+    for rngs in ([np.random.default_rng(2), _FailingGenerator(3)],
+                 [_FailingGenerator(4), np.random.default_rng(5)],
+                 [_FailingGenerator(6), _FailingGenerator(7)]):
+        caller = threading.Thread(target=call, args=(rngs,))
+        caller.start()
+        caller.join(timeout=60.0)
+        assert not caller.is_alive()
+    assert outcomes == ["fill failed"] * 3
+    assert threading.active_count() == before
 
 
 def test_report_record_fields():
