@@ -231,8 +231,9 @@ def _cmd_reconstruct(args):
             path = walk.WalkPath.from_gammas(gammas, 1.0)
             log_x, log_z = path.log_xs, path.log_zs
             rows = np.arange(n.size)
-            # X and Z may leave the double range, as in WalkPath.xs and .zs
-            with np.errstate(over="ignore"):
+            # X and Z may leave the double range, as in WalkPath.xs and .zs;
+            # the inf * 0 and inf / inf that follow are counted below
+            with np.errstate(over="ignore", invalid="ignore"):
                 x_n = np.exp(log_x[rows, n - 1])
                 n_future = np.exp(log_z[rows, last] - log_x[rows, last])
                 for q in np.unique(p).tolist():

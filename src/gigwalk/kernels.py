@@ -38,15 +38,18 @@ A composition "lead @ kernel" never holds the whole n x n block:
 _apply_kernel takes the kernel in blocks of a few targets, each row holding
 one target's values over every source, and fills the output slice by slice.
 The structured passes build their blocks from 1-D tables, leaving one exp
-per element.  Lambda's log-density is a source term plus a target term
-plus a source term times a target term (a rank-one exponent; the Bessel
-normalizers are one call over the grid).  Ktilde depends on x y through
-s = sqrt(1 + 4xy) and otherwise on y alone, and on a log-uniform grid
-x_i y_j depends only on i + j, so its x y terms are tables over the 2n - 1
-values of i + j.  P is never tabulated as a block at all: P(x, y) =
-P(1, y/x)/x, and on a log-uniform grid y_j/x_i depends only on j - i, so
-Lambda P is a Toeplitz convolution against one row of
-2n - 1 values of P(1, .).
+per element that can be nonzero: a closed-form bound over each block's
+targets finds the source columns whose log-density lies below exp's
+underflow point, and those entries are set to 0.0 without an exp.
+Lambda's log-density is a source term plus a target term plus a source
+term times a target term (a rank-one exponent; the Bessel normalizers are
+one call over the grid).  Ktilde depends on x y through s = sqrt(1 + 4xy)
+and otherwise on y alone, and on a log-uniform grid x_i y_j depends only on
+i + j, so its x y terms are tables over the 2n - 1 values of i + j, and a
+block's exponents are one small matrix product of target terms with those
+tables.  P is never tabulated as a block at all: P(x, y) = P(1, y/x)/x, and
+on a log-uniform grid y_j/x_i depends only on j - i, so Lambda P is a
+Toeplitz convolution against one row of 2n - 1 values of P(1, .).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import gammainccinv, gammaincinv, gammaln
 
 from .gig import InvGammaParams
@@ -310,6 +313,14 @@ class KernelDensity:
 # and page-faulted in on every block (78k-92k minor faults per n = 4000
 # Ktilde pass, 2**15 to 2**19); smaller ones pay more per-call overhead.
 _BLOCK_ELEMENTS = 1 << 14
+# exponent below which a block entry is set to 0.0 without an exp (see
+# _lambda_rows and _ktilde_rows): exp underflows to 0.0 below -745.13.  A
+# bound and the exponents it bounds are sums of the same few terms, so they
+# round by about eps times the largest term, far inside the margin of 4.9 for
+# terms below 1e15.  numpy's exp takes a slow path on every element below
+# about -708: about 20 ns, and 150 ns where the result is subnormal, against
+# about 1.2 ns in range (numpy 2.4 on a 2-core x86-64 host).
+_UNDERFLOW = -750.0
 
 
 def _apply_kernel(leads, block, n: int) -> np.ndarray:
@@ -322,6 +333,12 @@ def _apply_kernel(leads, block, n: int) -> np.ndarray:
     the summed axis, so a block costs one matrix product with a long inner
     dimension; at n = 4000 these products run 4x (one lead) to 8x (three
     leads) faster than those of blocks of a few source rows.
+
+    A block may be mostly exact zeros: the structured blocks (_lambda_rows,
+    _ktilde_rows) bound each source column's log-density over the block's
+    targets in closed form and set the entries whose bound is below
+    _UNDERFLOW to 0.0 without an exp, as exp would.  The product is taken
+    over the whole block all the same.
     """
     out = np.empty(leads.shape[:-1] + (n,))
     rows = max(1, _BLOCK_ELEMENTS // n)
@@ -341,6 +358,15 @@ def _require_log_uniform(pts: np.ndarray) -> None:
                          "log-uniform grid; build it with LogGrid.make")
 
 
+def _span(live: np.ndarray) -> tuple[int, int]:
+    """(first, one past the last) index of the True entries of live; (0, 0)
+    when there are none."""
+    lo = int(live.argmax())
+    if not live[lo]:
+        return 0, 0
+    return lo, live.size - int(live[::-1].argmax())
+
+
 def _lambda_rows(lam: float, a: float, pts: np.ndarray):
     """Target blocks (see _apply_kernel) of [Lambda(pts[i], pts[j])]_ij.
 
@@ -348,7 +374,17 @@ def _lambda_rows(lam: float, a: float, pts: np.ndarray):
     rank-one exponent, so the Bessel normalizer of every source z is one
     log_bessel_k call over pts.  The operations are those of lambda_density,
     so the blocks are bit-identical to it.
+
+    A block is mostly exact zeros when the kernel is sharp.  Since slope_z >
+    0, over the block's target rows
+
+        log Lambda(z, x) <= norm_z + max_r power_r - slope_z * min_r t_r,
+
+    and only the span of source columns whose bound is above _UNDERFLOW is
+    built and exponentiated; every other entry is set to 0.0, which is what
+    exp gives there.
     """
+    n = pts.size
     a2 = a * a
     norm = -np.log(2.0) - log_bessel_k(lam, a2 / pts)
     slope = 0.5 * (a2 / pts)
@@ -356,9 +392,17 @@ def _lambda_rows(lam: float, a: float, pts: np.ndarray):
     t = pts + 1.0 / pts
 
     def block(i, j):
-        logv = norm + power[i:j, None]
-        logv -= slope * t[i:j, None]
-        return np.exp(logv, out=logv)
+        out = np.empty((j - i, n))
+        if j == i:
+            return out
+        bound = norm - slope * t[i:j].min()
+        lo, hi = _span(bound > _UNDERFLOW - power[i:j].max())
+        logv = norm[lo:hi] + power[i:j, None]
+        logv -= slope[lo:hi] * t[i:j, None]
+        np.exp(logv, out=out[:, lo:hi])
+        out[:, :lo] = 0.0
+        out[:, hi:] = 0.0
+        return out
 
     return block
 
@@ -369,33 +413,64 @@ def _ktilde_rows(lam: float, a: float, pts: np.ndarray):
     With s = sqrt(1 + 4xy) and gamma = 2y/(1 + s), so that gamma + 1/gamma =
     2y/(1 + s) + (1 + s)/(2y), the log-density of ktilde_density is
 
-        H(xy) + c_y - a^2 y / (1 + s) - a^2 (1 + s) / (4y),
-        H = -log s + (lam + 1) log(1 + s),
-        c_y = -log 2 - log K_lam(a^2) - (lam + 1)(log 2 + log y).
+        ay * 1/(1 + s) + by * (1 + s) + H + c,
+        ay = -a^2 y,  by = -a^2 / (4y),  H = -log s + (lam + 1) log(1 + s),
+        c = -log 2 - log K_lam(a^2) - (lam + 1)(log 2 + log y).
 
-    On a log-uniform grid pts[i] * pts[j] depends only on m = i + j, so H,
-    1/(1 + s) and 1 + s are tables over the 2n - 1 values of m, read through
-    Hankel views, and the rest are terms of the target y; a block costs one
-    exp per element.  Raises ValueError when pts is not log-uniform.
+    On a log-uniform grid pts[i] * pts[j] depends only on m = i + j, so
+    1/(1 + s), 1 + s and H are tables over the 2n - 1 values of m, and ay,
+    by and c are terms of the target y.  A block's exponents are one
+    (rows x 4) @ (4 x columns) product of the target terms [ay, by, 1, c]
+    with the tables [1/(1 + s), 1 + s, H, 1] over the block's values of m,
+    read through a skewed view (row r, column j at m = r + j); they differ
+    from ktilde_density's by a few ulp of the largest term.
+
+    A block is mostly exact zeros when the kernel is sharp.  Over the rows
+    i..k of a block, with m = row + column:
+      - 1/(1 + s) falls and 1 + s rises with m;
+      - ay < 0 with |ay| rising along the rows, and by < 0 with |by| falling;
+      - c is monotone along the rows (it falls for lam > -1);
+      - H is quasi-convex in m: dH/ds = (lam s - 1) / (s (1 + s)) changes
+        sign at most once, from - to +.
+    So for column j
+
+        log Ktilde <= ay_i 1/(1 + s)[k + j] + by_k (1 + s)[i + j]
+                      + max(H[i + j], H[k + j]) + max(c_i, c_k),
+
+    and only the span of columns whose bound is above _UNDERFLOW is built
+    and exponentiated; every other entry is set to 0.0, which is what exp
+    gives there.  Raises ValueError when pts is not log-uniform.
     """
     _require_log_uniform(pts)
     n = pts.size
     a2 = a * a
     xy = np.concatenate((pts[0] * pts, pts[-1] * pts[1:]))
     s = np.sqrt(1.0 + 4.0 * xy)
-    h = sliding_window_view(-np.log(s) + (lam + 1.0) * np.log1p(s), n)
-    inv = sliding_window_view(1.0 / (1.0 + s), n)
-    one_s = sliding_window_view(1.0 + s, n)
+    tables = np.stack((1.0 / (1.0 + s), 1.0 + s,
+                       -np.log(s) + (lam + 1.0) * np.log1p(s), np.ones_like(s)))
+    inv, one_s, h = tables[:3]
     c = (-np.log(2.0) - log_bessel_k(lam, a2)
          - (lam + 1.0) * (np.log(2.0) + np.log(pts)))
-    ay, by = -a2 * pts, -a2 / (4.0 * pts)
+    terms = np.stack((-a2 * pts, -a2 / (4.0 * pts), np.ones(n), c), axis=1)
+    ay, by = terms[:, 0], terms[:, 1]
 
     def block(i, j):
-        logv = inv[i:j] * ay[i:j, None]
-        logv += one_s[i:j] * by[i:j, None]
-        logv += h[i:j]
-        logv += c[i:j, None]
-        return np.exp(logv, out=logv)
+        out = np.empty((j - i, n))
+        if j == i:
+            return out
+        k = j - 1
+        bound = ay[i] * inv[k:k + n]
+        bound += by[k] * one_s[i:i + n]
+        bound += np.maximum(h[i:i + n], h[k:k + n])
+        lo, hi = _span(bound > _UNDERFLOW - max(c[i], c[k]))
+        exps = terms[i:j] @ tables[:, i + lo:k + hi]
+        step = exps.strides[1]
+        skew = as_strided(exps, (j - i, hi - lo), (exps.strides[0] + step, step),
+                          writeable=False)
+        np.exp(skew, out=out[:, lo:hi])
+        out[:, :lo] = 0.0
+        out[:, hi:] = 0.0
+        return out
 
     return block
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -163,9 +164,13 @@ def test_reconstruct_non_finite_residuals_fail(tmp_path, capsys):
     # X and Z leave the double range on most of these fast-drifting paths,
     # where rec / x is inf / inf: a NaN residual must fail, not pass
     out = tmp_path / "r.json"
-    assert run(["reconstruct", "--lambda", "2", "--a", "0.5", "--steps",
-                "1000", "--samples", "200", "--seed", "1",
-                "--out", str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["reconstruct", "--lambda", "2", "--a", "0.5", "--steps",
+                    "1000", "--samples", "200", "--seed", "1",
+                    "--out", str(out)]) == 1
+    # the count below reports them; numpy's own warnings would only repeat it
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     (rec,) = json.loads(out.read_text())
     bad = rec["params"]["non_finite"]
     assert 0 < bad < 200 and not rec["pass"]

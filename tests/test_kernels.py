@@ -1,4 +1,5 @@
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -306,6 +307,8 @@ def test_lambda_table_blocks_match_pointwise_density(lam, a, n, log_lo, log_hi,
     ref = lambda_density(lam, a, pts[None, :], pts[:, None])
     live = ref > 1e-250
     assert np.all(np.abs(got[live] / ref[live] - 1.0) <= 1e-13)
+    # the same operations, so the same bits, zeros included
+    assert np.array_equal(got, ref)
 
 
 @settings(max_examples=30, deadline=None)
@@ -322,6 +325,36 @@ def test_ktilde_table_blocks_match_pointwise_density(lam, a, n, log_lo, log_hi,
     # turns that into a relative error proportional to the log-density
     bound = 1e-13 * np.maximum(1.0, np.abs(np.log(ref[live])))
     assert np.all(np.abs(got[live] / ref[live] - 1.0) <= bound)
+    # an entry set to 0.0 without an exp is one that underflows
+    assert np.all(ref[got == 0.0] < 1e-300)
+
+
+@settings(max_examples=40, deadline=None)
+@given(link_lam=st.floats(-3.0, 3.0), an_lam=st.floats(1e-3, 5.0),
+       **dict(_TABLE_CASES, a=st.floats(3.0, 30.0)))
+def test_table_blocks_cut_only_entries_that_underflow(link_lam, an_lam, a, n,
+                                                      log_lo, log_hi, split):
+    # sharp kernels, where most of each block lies beyond the closed-form
+    # bound and is set to 0.0 without an exp.  Only soundness is asserted:
+    # Ktilde's relative error grows with a (see the test above) and is not
+    # bounded here
+    pts = _table_grid(n, log_lo, log_hi)
+    split = int(split * n)
+    link_ref = lambda_density(link_lam, a, pts[None, :], pts[:, None])
+    an_ref = ktilde_density(an_lam, a, pts[None, :], pts[:, None])
+
+    def blocks():
+        with np.errstate(over="ignore"):
+            return (_target_blocks(_lambda_rows(link_lam, a, pts), n, split),
+                    _target_blocks(_ktilde_rows(an_lam, a, pts), n, split))
+
+    link, an = blocks()
+    assert np.array_equal(link, link_ref)
+    assert np.all(an_ref[an == 0.0] < 1e-300)
+    # the bounds themselves, at a cut where they decide many more entries
+    with mock.patch.object(kernels, "_UNDERFLOW", -50.0):
+        for got, ref in zip(blocks(), (link_ref, an_ref)):
+            assert np.all(ref[got == 0.0] <= np.exp(-50.0) * (1.0 + 1e-9))
 
 
 def test_intertwining_sensitivity_to_perturbed_link():
