@@ -5,11 +5,12 @@ variable), --tol, --format and --workers; reports are flat arrays of check
 records carrying a schema_version field.  Exit status: 0 when all invoked
 checks pass, 1 when any check fails, 2 on usage or domain errors.
 
-Monte Carlo runs serially by default (--workers 1, as in the library): the
-16 fixed sample shards are stepped in lockstep groups of at most 20000
-samples, all 16 in one group at the default 20000 samples.  An explicit
---workers N runs the groups on a thread pool, which loses to one thread at
-the default sample sizes (stats._sharded) and never changes a result.
+Monte Carlo uses every CPU this process may use by default (the library's
+default is workers=1): the 16 fixed sample shards are split into up to
+--workers contiguous lanes of at least stats.LANE_FLOOR samples on
+average, the caller runs the first and one forked process each other lane,
+and every lane steps its shards in lockstep groups of at most 20000
+samples (stats._sharded).  No result depends on --workers.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ DEFAULT_Z_SOURCES = "0.2,1,5"
 # take 1.5-1.8 s below 20000 and 1.1-1.5 s from 20000 up, where peak RSS
 # grows from 57 MB (20000) to 63 MB (100000)
 RECONSTRUCT_DRAWS = 20000
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, else the CPUs of the host."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
 
 
 def _timed(fn):
@@ -312,12 +321,13 @@ def _build_parser():
                        help="report (or CSV path) output file; stdout if omitted")
         p.add_argument("--format", dest="fmt", choices=["json", "csv"],
                        default="json", help="report format (default json)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="Monte Carlo worker threads (default 1); N > 1 "
-                            "runs the lockstep groups of the 16 fixed sample "
-                            "shards (at most 20000 samples a group) on a "
-                            "thread pool, which pays only for large groups; "
-                            "results never depend on it")
+        p.add_argument("--workers", type=int, default=_usable_cpus(),
+                       help="Monte Carlo processes (default: the usable "
+                            "CPUs); splits the 16 fixed sample shards into "
+                            "up to N lanes of at least "
+                            f"{stats.LANE_FLOOR} samples on average, one "
+                            "forked process each beyond the first; results "
+                            "never depend on it")
         return p
 
     common(sub.add_parser("simulate", help="dump one walk path as CSV"))
@@ -354,6 +364,8 @@ def main(argv=None) -> int:
             print("error: GIGWALK_SEED must be an integer", file=sys.stderr)
             return 2
     try:
+        if args.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {args.workers}")
         records, ok = _COMMANDS[args.command](args)
     except (ValueError, IndexError, walk.DivergenceError,
             stats.InsufficientConditioningError) as exc:

@@ -14,17 +14,28 @@ draws each shard's numbers from that shard's own generator and does the
 arithmetic once over the group, so results are bit-identical for any
 grouping and any worker count (see _sharded).
 
+`workers` > 1 splits the shards into contiguous lanes of at least
+LANE_FLOOR samples on average: the caller runs the first lane and one
+forked child process runs each other lane.  An in-process tracer sees no
+call made in a child lane, and Python >= 3.12 emits a DeprecationWarning
+when it forks while other threads of the process are alive.
+
 The Euler reference of the scaling limit (simulate_my_continuous) spends
 its time filling Gaussians, so it fills them a block of EULER_BLOCK_STEPS
 steps at a time, shared between the calling thread and one helper thread
 of its own, with every draw and every output bit that of the one step at a
 time loop (see _euler_blocks).  That helper is internal and always on; the
-`workers` pool is a separate, opt-in layer over the groups.
+lanes are a separate, opt-in layer over the groups.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import traceback
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -62,6 +73,8 @@ __all__ = [
 SHARDS = 16  # fixed logical stream count; workers only affect scheduling
 # most samples a lockstep group of shards holds (see _sharded)
 GROUP_ELEMENTS = 20000
+# fewest samples a forked Monte Carlo lane holds (see _sharded)
+LANE_FLOOR = 4000
 # Euler steps whose Gaussians one generator call fills (see _euler_blocks)
 EULER_BLOCK_STEPS = 8
 
@@ -158,14 +171,15 @@ def _shard_counts(total: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(SHARDS)]
 
 
-def _groups(total: int, seed: int) -> list[Streams]:
-    """The fixed shards of `total` samples, joined in order into groups of
-    at most GROUP_ELEMENTS samples (at least one shard each); empty shards
-    are left out."""
+def _groups(total: int, seed: int, shards=range(SHARDS)) -> list[Streams]:
+    """The fixed shards `shards` of `total` samples, joined in order into
+    groups of at most GROUP_ELEMENTS samples (at least one shard each);
+    empty shards are left out."""
     if total < 1:
         raise ValueError(f"samples must be at least 1, got {total}")
     counts = _shard_counts(total)
-    jobs = [(r, c) for r, c in zip(spawn_rngs(seed, SHARDS), counts) if c > 0]
+    rngs = spawn_rngs(seed, SHARDS)
+    jobs = [(rngs[i], counts[i]) for i in shards if counts[i] > 0]
     per = max(1, GROUP_ELEMENTS // counts[0])
     return [Streams(*zip(*jobs[i:i + per])) for i in range(0, len(jobs), per)]
 
@@ -178,8 +192,9 @@ def _sharded(draw, total: int, seed: int, workers: int = 1) -> np.ndarray:
     shard's segment from that shard's own generator and does the arithmetic
     once over the group (gig.Streams).  Every generator so yields exactly
     the numbers it yields when its shard runs alone, and the result never
-    depends on the grouping or the worker count.  A draw whose output is not
-    per sample (a sum, say) must reduce each shard's segment on its own.
+    depends on the grouping, the lanes or the worker count.  A draw whose
+    output is not per sample (a sum, say) must reduce each shard's segment
+    on its own.
 
     Lockstep pays because at 20000 samples the cost is numpy calls on small
     arrays, not draws.  On a 2-core host, n_part_statistics at 20000
@@ -191,19 +206,146 @@ def _sharded(draw, total: int, seed: int, workers: int = 1) -> np.ndarray:
     groups of 3, 5 or 8 and 2.8 s with all 16 joined; hence the budget of
     20000 samples.
 
-    workers = 1 (the default here and in the CLI) runs the groups in order;
-    workers > 1 runs them on a thread pool.  The pool only pays when each
-    group's numpy calls are large enough to outweigh the interpreter lock:
-    on a 2-core host two threads ran elementwise numpy at 0.40x serial on
-    1250 elements, 0.74x on 6250 and 1.88x on 1e6.
+    `workers` > 1 splits the non-empty shards into contiguous lanes of
+    about equal sample count, as many as the workers, the non-empty shards
+    and LANE_FLOOR samples a lane on average allow, each lane joined into
+    groups as above.  The caller runs lane 0 and one forked child process
+    runs each other lane, sending its array back through a pipe (see
+    _fork_lane).  Threads cannot share this work: numpy calls on arrays
+    this small spend their time holding the interpreter lock, and
+    dufresne_test over four points took 2.3 s on one thread and 2.3-2.7 s
+    on two.  Nor can spawned processes: a draw is a closure, which does
+    not pickle, and a fresh interpreter takes 0.4 s to import gigwalk.
+    The forks start from this thread while no thread of gigwalk's runs
+    (the Euler helper lives inside one draw).  A lane whose fork is
+    missing or fails runs in this process after lane 0.  An exception in
+    a child reaches the caller with its own type, and every warning a
+    child lets through its inherited filters is issued again here; an
+    exception in the caller's own lane kills and reaps the children, so no
+    child outlives the call.  An in-process tracer sees no call made in a
+    child lane, and Python >= 3.12 emits a DeprecationWarning when it
+    forks while other threads of the process are alive.
+
+    A lane's fork, pipe and reaping cost 6-8 ms in a 105 MB process, so a
+    lane must hold enough samples to pay for them.  On a 2-core x86-64
+    host, per point over (lam, a) = (1, 1), (2, 0.5), (0.5, 2) and
+    (1.25, 1.25) (medians of 5), dufresne_test on two forked lanes took
+    62 ms against 43 ms on one at 2000 samples, 76 against 64 ms at 5000,
+    65 against 82 ms at 6000 and 67 against 75 ms at 8000;
+    n_part_statistics, which draws twice per sample, gained from 2000
+    samples on.  Hence LANE_FLOOR = 4000: below 8000 samples everything
+    runs in the caller as one lane.  At the CLI defaults the lanes pay:
+    dufresne_test at 1e5 samples took 0.38-0.40 s on one lane and
+    0.25-0.35 s on two.
     """
-    groups = _groups(total, seed)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda g: draw(g.size, g), groups))
-    else:
-        parts = [draw(g.size, g) for g in groups]
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    filled = min(SHARDS, total)  # the non-empty shards come first
+    lanes = max(1, min(workers, filled, total // LANE_FLOOR))
+    runs = [_groups(total, seed, range(k * filled // lanes,
+                                       (k + 1) * filled // lanes))
+            for k in range(lanes)]
+    children = []
+    try:
+        for groups in runs[1:]:
+            children.append(_fork_lane(draw, groups))
+        parts = [_lane(draw, runs[0])]
+        for k, child in enumerate(children, 1):
+            children[k - 1] = None  # _join_lane reaps it, even if it raises
+            parts.append(_lane(draw, runs[k]) if child is None
+                         else _join_lane(*child))
+    finally:
+        for child in children:  # still running only when a lane raised
+            if child is not None:
+                os.close(child[1])
+                _kill(child[0])
     return np.concatenate(parts, axis=-1)
+
+
+def _lane(draw, groups: list[Streams]) -> np.ndarray:
+    return np.concatenate([draw(g.size, g) for g in groups], axis=-1)
+
+
+def _fork_lane(draw, groups: list[Streams]):
+    """(pid, read end of its pipe) of a child process that runs one lane,
+    or None where os.fork is missing or fails.
+
+    The child sends back one pickled tuple: (True, array, warnings) or
+    (False, exception, warnings), where warnings are the (text, category,
+    filename, lineno) of every warning the lane issued that the inherited
+    filters let through.  It then leaves with os._exit, so no exit handler
+    or buffered output of the caller runs twice."""
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        return None
+    read, write = os.pipe()
+    try:
+        pid = fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid:
+        os.close(write)
+        return pid, read
+    try:  # the child
+        os.close(read)
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                out = (True, _lane(draw, groups))
+            except BaseException as exc:  # noqa: BLE001  (sent to the caller)
+                out = (False, _portable(exc))
+        seen = [(str(w.message), w.category, w.filename, w.lineno)
+                for w in caught]
+        payload = pickle.dumps(out + (seen,), pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write, "wb") as fh:
+            fh.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _kill(pid: int) -> None:
+    """Kill the child lane `pid` and reap it."""
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """`exc` with its lane's traceback as a note, or a RuntimeError naming
+    it where it does not survive pickling."""
+    if hasattr(exc, "add_note"):  # Python >= 3.11
+        exc.add_note("raised in a forked Monte Carlo lane:\n"
+                     + "".join(traceback.format_tb(exc.__traceback__)))
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:  # noqa: BLE001
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+
+
+def _join_lane(pid: int, read: int) -> np.ndarray:
+    """The array of the child lane `pid`, once it has exited; its warnings
+    are issued again here and its exception raised here."""
+    try:
+        with os.fdopen(read, "rb") as fh:
+            payload = fh.read()
+    except BaseException:
+        _kill(pid)
+        raise
+    _, status = os.waitpid(pid, 0)
+    if not payload:
+        raise RuntimeError(f"Monte Carlo lane process {pid} died with exit "
+                           f"code {os.waitstatus_to_exitcode(status)}")
+    ok, value, seen = pickle.loads(payload)
+    # this module's registry, so that a "default" filter shows a warning
+    # once however many lanes and calls issue it, as without lanes
+    registry = globals().setdefault("__warningregistry__", {})
+    for text, category, filename, lineno in seen:
+        warnings.warn_explicit(text, category, filename, lineno,
+                               registry=registry)
+    if not ok:
+        raise value
+    return value
 
 
 def dufresne_test(lam: float, a: float, samples: int, seed: int,

@@ -11,7 +11,7 @@ import pytest
 from scipy import stats as spstats
 
 import gigwalk
-from gigwalk import cli, kernels, stats
+from gigwalk import cli, kernels, stats, walk
 from gigwalk.cli import main
 
 
@@ -193,8 +193,16 @@ MONTE_CARLO_ARGS = {
 }
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @pytest.mark.parametrize("command", sorted(MONTE_CARLO_ARGS))
-def test_monte_carlo_is_serial_by_default(command, tmp_path, monkeypatch):
+def test_monte_carlo_workers_default_to_usable_cpus(command, tmp_path,
+                                                    monkeypatch):
     seen = []
     sharded = stats._sharded
 
@@ -205,27 +213,79 @@ def test_monte_carlo_is_serial_by_default(command, tmp_path, monkeypatch):
     monkeypatch.setattr(stats, "_sharded", spy)
     assert run(MONTE_CARLO_ARGS[command] + ["--seed", "4",
                                            "--out", str(tmp_path / "r.json")]) == 0
-    assert seen and set(seen) == {1}
+    assert seen and set(seen) == {_usable_cpus()}
 
 
 @pytest.mark.parametrize("command", ["dufresne", "converge"])
 def test_worker_count_never_changes_the_report(command, tmp_path, monkeypatch):
-    pools = []
+    sharded_calls = {"dufresne": 1, "converge": 2}[command]
+    # a floor of 500 samples a lane lets 2000-3000 samples fork
+    monkeypatch.setattr(stats, "LANE_FLOOR", 500)
+    forks = []  # the forks of this process; a child's count stays in it
+    real = os.fork
 
-    class CountingPool(stats.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
+    def fork():
+        forks.append(1)
+        return real()
 
-    monkeypatch.setattr(stats, "ThreadPoolExecutor", CountingPool)
-    reports = []
-    for extra in ([], ["--workers", "1"], ["--workers", "2"]):
+    monkeypatch.setattr(os, "fork", fork)
+    samples = int(MONTE_CARLO_ARGS[command][2])
+    reports, counts = [], []
+    for extra in ([], ["--workers", "1"], ["--workers", "2"], ["--workers", "3"]):
         out = tmp_path / f"r{len(reports)}.json"
+        before = len(forks)
         assert run(MONTE_CARLO_ARGS[command] + ["--seed", "9", "--out",
                                                 str(out)] + extra) == 0
         reports.append(_scrubbed(out))
-    assert pools and set(pools) == {2}  # only the explicit flag starts a pool
-    assert reports[0] == reports[1] == reports[2]
+        counts.append(len(forks) - before)
+    lanes = min(_usable_cpus(), 16, samples // 500)
+    assert counts == [sharded_calls * (lanes - 1), 0, sharded_calls,
+                      2 * sharded_calls]
+    assert reports[0] == reports[1] == reports[2] == reports[3]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(workers, capsys):
+    assert run(["dufresne", "--samples", "2000", "--seed", "3",
+                "--workers", workers]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+
+
+def test_workers_beyond_the_shards_fork_at_most_15_times(tmp_path, monkeypatch):
+    monkeypatch.setattr(stats, "LANE_FLOOR", 1)
+    attempts = []
+
+    def fork():  # counts, then fails: every lane runs in this process
+        attempts.append(1)
+        raise OSError("no fork here")
+
+    monkeypatch.setattr(os, "fork", fork)
+    reports = []
+    for workers in ("1000000", "1"):
+        out = tmp_path / f"r{workers}.json"
+        assert run(["dufresne", "--samples", "2000", "--seed", "3",
+                    "--workers", workers, "--out", str(out)]) == 0
+        reports.append(_scrubbed(out))
+    assert len(attempts) == 15
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("error", [walk.DivergenceError, ValueError])
+def test_child_lane_errors_exit_2(error, monkeypatch, capsys):
+    caller = os.getpid()
+    real = stats.n_infinity_batch
+
+    def batch(*args):
+        if os.getpid() != caller:
+            raise error("lane failed")
+        return real(*args)
+
+    monkeypatch.setattr(stats, "n_infinity_batch", batch)
+    assert run(["dufresne", "--samples", str(2 * stats.LANE_FLOOR),
+                "--seed", "3", "--workers", "2"]) == 2
+    assert "error: lane failed" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_csv_report_format(tmp_path):

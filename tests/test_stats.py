@@ -1,4 +1,7 @@
+import os
 import threading
+import time
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from gigwalk import stats
+from gigwalk import stats, walk
 from gigwalk.gig import (GigParams, InvGammaParams, Streams,
                          gig_log_moment_numeric, gig_sample, inverse_gamma_cdf,
                          spawn_rngs)
@@ -353,6 +356,115 @@ def test_lockstep_groups_equal_one_shard_at_a_time(draw, lam, a, total, budget,
     assert sum(g.size for g in groups) == total
     assert all(len(g.counts) == 1 or g.size <= budget for g in groups)
     assert np.array_equal(joined, np.concatenate(alone, axis=-1))
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(max_examples=15, deadline=None)
+@given(draw=st.sampled_from(sorted(LOCKSTEP_DRAWS)), lam=st.floats(0.3, 3.0),
+       a=st.floats(0.3, 3.0), total=st.integers(1, 3000),
+       budget=st.sampled_from([50, 20000]), workers=st.sampled_from([2, 3, 16]),
+       seed=st.integers(0, 2**32 - 1))
+def test_forked_lanes_equal_one_shard_at_a_time(draw, lam, a, total, budget,
+                                                workers, seed):
+    fn = LOCKSTEP_DRAWS[draw](lam, a)
+    alone = [fn(c, r) for c, r in zip(stats._shard_counts(total),
+                                      spawn_rngs(seed, stats.SHARDS)) if c > 0]
+    with mock.patch.object(stats, "LANE_FLOOR", 1), \
+            mock.patch.object(stats, "GROUP_ELEMENTS", budget):
+        laned = stats._sharded(fn, total, seed, workers)
+    assert np.array_equal(laned, np.concatenate(alone, axis=-1))
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_raise(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        dufresne_test(1.0, 1.0, 2000, 3, workers=workers)
+
+
+@pytest.mark.parametrize("workers, total, forks", [
+    (10**6, 16 * stats.LANE_FLOOR, 15),   # capped at the 16 shards
+    (10**6, 5 * stats.LANE_FLOOR, 4),     # capped at the floor
+    (10**6, stats.LANE_FLOOR, 0),
+    (3, 16 * stats.LANE_FLOOR, 2)])
+def test_lanes_are_capped_and_run_in_process_without_fork(monkeypatch, workers,
+                                                          total, forks):
+    def draw(c, r):
+        return gig_sample(GigParams.symmetric(1.0, 1.0), r, c)
+
+    serial = stats._sharded(draw, total, 5)
+    attempts = []
+
+    def fork():  # counts, then fails: every lane runs in this process
+        attempts.append(1)
+        raise OSError("no fork here")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert np.array_equal(stats._sharded(draw, total, 5, workers), serial)
+    assert len(attempts) == forks
+    monkeypatch.delattr(os, "fork")  # a platform without fork
+    assert np.array_equal(stats._sharded(draw, total, 5, workers), serial)
+
+
+def _in_child(caller, action):
+    """A draw that runs `action` in child lanes only."""
+    def draw(c, r):
+        if os.getpid() != caller:
+            action()
+        return np.zeros(c)
+    return draw
+
+
+def test_lanes_leave_no_child_process():
+    caller = os.getpid()
+    total = 2 * stats.LANE_FLOOR
+    _assert_no_children()
+    assert stats._sharded(_in_child(caller, lambda: None), total, 1, 2).size == total
+    _assert_no_children()
+
+    def stuck(c, r):  # the child would run for a minute unless killed
+        if os.getpid() == caller:
+            raise ValueError("caller lane failed")
+        time.sleep(60.0)
+        return np.zeros(c)
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="caller lane failed"):
+        stats._sharded(stuck, total, 1, 2)
+    assert time.perf_counter() - start < 30.0
+    _assert_no_children()
+
+
+@pytest.mark.parametrize("error", [walk.DivergenceError, ValueError,
+                                   InsufficientConditioningError])
+def test_child_lane_errors_keep_their_type(error):
+    def fail():
+        raise error("lane failed")
+
+    with pytest.raises(error, match="lane failed") as info:
+        stats._sharded(_in_child(os.getpid(), fail), 3 * stats.LANE_FLOOR, 1, 3)
+    notes = getattr(info.value, "__notes__", None)  # Python >= 3.11
+    assert notes is None or any("forked Monte Carlo lane" in n for n in notes)
+    _assert_no_children()
+
+
+def test_child_lane_warnings_reach_the_caller():
+    def warn():
+        np.exp(np.array([1000.0]))  # overflow: a numpy RuntimeWarning
+        warnings.warn("lane warning", RuntimeWarning)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        stats._sharded(_in_child(os.getpid(), warn), 3 * stats.LANE_FLOOR, 1, 3)
+    texts = [str(w.message) for w in caught
+             if issubclass(w.category, RuntimeWarning)]
+    assert texts.count("lane warning") == 2  # one per child lane
+    assert texts.count("overflow encountered in exp") == 2
+    _assert_no_children()
 
 
 def test_default_sample_counts_join_all_shards_but_not_at_1e5():
