@@ -48,10 +48,11 @@ print("=" * 64)
 print("3. Reconstruct X_n from the Z trajectory and one future NA-part")
 print("=" * 64)
 long_path = simulate_path(WalkConfig(GigParams.symmetric(LAM, A), 1.0, 60, SEED))
+# the inversion works in logs: log Z in, log X out
+log_n_60 = long_path.log_zs[59] - long_path.log_xs[59]
 for n in (3, 10, 25):
     p = 60 - n
-    rec = reconstruct_x_finite(long_path.zs[n - 1:60],
-                               n_parts(long_path, 60).n_na)
+    rec = np.exp(reconstruct_x_finite(long_path.log_zs[n - 1:60], log_n_60))
     true = long_path.xs[n - 1]
     print(f"  n={n:>2}, p={p:>2}:  X_n = {true:.10f},  reconstructed = "
           f"{rec:.10f},  rel err = {abs(rec/true-1):.2e}")

@@ -226,7 +226,7 @@ def _cmd_reconstruct(args):
         # per path spent its time on call overhead, and one call for all
         # paths held every draw at once (163 MB for verify's defaults).  A
         # call's paths are one WalkPath of rows padded with unit increments,
-        # and the paths of equal p are reconstructed together
+        # and the paths of equal p are reconstructed together, in logs
         ns = rng.integers(1, horizon, args.samples)
         ps = rng.integers(0, horizon, args.samples)
         per_call = max(1, RECONSTRUCT_DRAWS // horizon)
@@ -240,28 +240,25 @@ def _cmd_reconstruct(args):
             path = walk.WalkPath.from_gammas(gammas, 1.0)
             log_x, log_z = path.log_xs, path.log_zs
             rows = np.arange(n.size)
-            # X and Z may leave the double range, as in WalkPath.xs and .zs;
-            # the inf * 0 and inf / inf that follow are counted below
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_n = np.exp(log_x[rows, n - 1])
-                n_future = np.exp(log_z[rows, last] - log_x[rows, last])
-                for q in np.unique(p).tolist():
-                    sel = (p == q).nonzero()[0]
-                    run = (n[sel] - 1)[:, None] + np.arange(q + 1)
-                    rec = walk.reconstruct_x_finite(
-                        np.exp(log_z[sel[:, None], run]), n_future[sel])
-                    residual = np.abs(rec / x_n[sel] - 1.0)
-                    finite = np.isfinite(residual)
-                    non_finite += int(np.count_nonzero(~finite))
-                    worst = max(worst, float(
-                        residual.max(where=finite, initial=0.0)))
+            log_n_future = log_z[rows, last] - log_x[rows, last]
+            for q in np.unique(p).tolist():
+                sel = (p == q).nonzero()[0]
+                run = (n[sel] - 1)[:, None] + np.arange(q + 1)
+                rec = walk.reconstruct_x_finite(log_z[sel[:, None], run],
+                                                log_n_future[sel])
+                residual = np.abs(np.expm1(rec - log_x[sel, n[sel] - 1]))
+                finite = np.isfinite(residual)
+                non_finite += int(np.count_nonzero(~finite))
+                worst = max(worst, float(
+                    residual.max(where=finite, initial=0.0)))
         return worst, non_finite
 
     (res, non_finite), ms = _timed(worst_residual)
     if non_finite:
-        # X or Z left the double range: a numerical failure, never a pass
+        # the log-space inversion should never give one; a numerical
+        # failure, never a pass
         print(f"reconstruct: {non_finite} of {args.samples} residuals are "
-              "non-finite (X or Z overflowed)", file=sys.stderr)
+              "non-finite", file=sys.stderr)
     rec = _record("reconstruction_identity",
                   {"lambda": args.lam, "a": args.a, "paths": args.samples,
                    "horizon": horizon, "non_finite": non_finite},

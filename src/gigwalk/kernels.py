@@ -65,11 +65,9 @@ from .specfun import log_bessel_k
 
 __all__ = [
     "GridCoverageError",
-    "KernelDensity",
     "LogGrid",
     "characterization_discrepancy",
     "check_detailed_balance",
-    "check_intertwining",
     "intertwining_residuals",
     "check_stationarity",
     "compose",
@@ -81,7 +79,6 @@ __all__ = [
     "p_density",
     "pi_density",
     "q_density",
-    "residual_record",
 ]
 
 
@@ -278,33 +275,6 @@ def _pi_logpdf(lam: float, a: float, x):
 def pi_density(lam: float, a: float, x):
     """Stationary density of the AN-part chain: inverse-gamma(lam, a^2/2)."""
     return _as_out(_pi_logpdf(lam, a, x))
-
-
-_FAMILIES = {
-    "Q": q_density,
-    "P": p_density,
-    "Lambda": lambda_density,
-    "Ktilde": ktilde_density,
-}
-
-
-@dataclass(frozen=True)
-class KernelDensity:
-    """A tagged kernel family with fixed (lam, a); callable as k(source, target)."""
-
-    family: str
-    lam: float
-    a: float
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; "
-                             f"choose from {sorted(_FAMILIES)}")
-        if self.a <= 0.0:
-            raise ValueError("a must be positive")
-
-    def __call__(self, source, target):
-        return _FAMILIES[self.family](self.lam, self.a, source, target)
 
 
 # largest kernel block evaluated at once: 2**14 doubles, 128 KiB.  The
@@ -545,12 +515,6 @@ def intertwining_residuals(lam: float, a: float, zs,
     return {z: float(r) for z, r in zip(zs, worst)}
 
 
-def check_intertwining(lam: float, a: float, z: float,
-                       grid: LogGrid | None = None) -> float:
-    """Sup-norm residual of (Lambda P)(z, .) - (Q Lambda)(z, .) on the grid."""
-    return intertwining_residuals(lam, a, [z], grid)[z]
-
-
 def _pi_grid(lam: float, a: float) -> LogGrid:
     """Log grid over the PI_TAIL and 1 - PI_TAIL quantiles of pi =
     inverse-gamma(lam, beta), beta = a^2/2, with the step _step_for gives
@@ -712,17 +676,3 @@ def my_generator_coefficients(lam: float, z: float) -> tuple[float, float]:
                          - log_bessel_k(lam, 1.0 / z)))
     return (0.5 + lam) * z + ratio, z * z
 
-
-def residual_record(family: str, lam: float, a: float, source: float,
-                    residual: float, grid: LogGrid, tolerance: float) -> dict:
-    """JSON-ready record of one kernel residual check."""
-    return {
-        "family": family,
-        "lambda": lam,
-        "a": a,
-        "source": source,
-        "residual": residual,
-        "grid_spec": {"lo": grid.lo, "hi": grid.hi, "n": grid.size},
-        "tolerance": tolerance,
-        "pass": bool(residual < tolerance),
-    }

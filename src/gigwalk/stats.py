@@ -62,7 +62,6 @@ __all__ = [
     "kolmogorov_critical",
     "ks_one_sample",
     "ks_two_sample",
-    "n_part_convergence_test",
     "n_part_statistics",
     "report_record",
     "scaling_limit_test",
@@ -385,13 +384,6 @@ def n_part_statistics(lam: float, a: float, checkpoints, samples: int,
     return {m: ks_two_sample(table[i], ref, alpha) for i, m in enumerate(marks)}
 
 
-def n_part_convergence_test(lam: float, a: float, n: int, samples: int,
-                            seed: int, tail_tol: float = 1e-10,
-                            workers: int = 1, alpha: float = 0.01) -> KsResult:
-    return n_part_statistics(lam, a, [n], samples, seed, tail_tol,
-                             workers, alpha)[int(n)]
-
-
 def donsker_check(lam: float, n: int, t: float, samples: int, seed: int,
                   workers: int = 1, alpha: float = 0.01) -> KsResult:
     """KS of sum_{j < floor(nt)} log gamma_j^(sqrt n) against Normal(lam*t, t)."""
@@ -425,48 +417,25 @@ class BrownianConfig:
         return int(round(self.t / self.dt))
 
 
-def simulate_my_continuous(config: BrownianConfig, rng=None, size=None,
-                           normals=None):
-    """Draws of e^{B_T} * int_0^T e^{-2 B_s} ds on the config mesh.
+def simulate_my_continuous(config: BrownianConfig, rng, size: int) -> np.ndarray:
+    """`size` draws of e^{B_T} * int_0^T e^{-2 B_s} ds on the config mesh.
 
     Left-endpoint Riemann sum of the integrand, O(dt) bias.  The mesh runs
     config.steps = round(t/dt) steps, so it ends at T = steps*dt, which is
     t only when dt divides t.  `rng` may be a gig.Streams of `size` draws.
-    `normals` (scalar, per-step vector, or (steps, size) array) replaces the
-    Gaussian stream for deterministic checks; normals=0 with drift 0 gives
-    exactly t.
 
-    With `rng`, the steps run in blocks of EULER_BLOCK_STEPS (see
-    _euler_blocks): each shard's generator fills a block's Gaussians in one
-    call, and one helper thread fills the next block while this thread does
-    the arithmetic of the current one.  The result equals the plain loop
+    The steps run in blocks of EULER_BLOCK_STEPS (see _euler_blocks): each
+    shard's generator fills a block's Gaussians in one call, and one helper
+    thread fills the next block while this thread does the arithmetic of
+    the current one.  The result equals the plain loop
         acc += exp(-2*b) * dt;  b = b + drift*dt + sqrt(dt)*xi
     with one standard_normal call per shard and step, bit for bit.
     """
-    count = 1 if size is None else int(size)
-    steps = config.steps
-    sdt = np.sqrt(config.dt)
-    inj = None if normals is None else np.asarray(normals, dtype=float)
-    if rng is None and inj is None:
-        raise ValueError("either rng or injected normals is required")
+    count = int(size)
     b = np.zeros(count)
     acc = np.zeros(count)
-    if inj is None:
-        _euler_blocks(config, Streams.of(rng, count), b, acc)
-    else:
-        for k in range(steps):
-            acc += np.exp(-2.0 * b) * config.dt
-            if inj.ndim == 0:
-                xi = inj
-            elif inj.ndim == 1:
-                xi = inj[k]
-            else:
-                xi = inj[k, :]
-            b = b + config.drift * config.dt + sdt * xi
-    out = np.exp(b) * acc
-    if size is None:
-        return float(out[0])
-    return out
+    _euler_blocks(config, Streams.of(rng, count), b, acc)
+    return np.exp(b) * acc
 
 
 def _euler_blocks(config: BrownianConfig, streams: Streams, b: np.ndarray,

@@ -13,7 +13,8 @@ N = Z/X, the partial sum of the discrete Dufresne perpetuity
 and derive Z = N X (a WalkPath keeps log Z = log N + log X): for
 |E log gamma| > 0 the raw coordinates drift exponentially and leave the
 double range long before the horizons used by the scaling-limit and
-reconstruction checks, while N only adds positive terms.
+reconstruction checks, while N only adds positive terms.  The
+reconstruction formulas take and return logs for the same reason.
 """
 
 from __future__ import annotations
@@ -322,67 +323,67 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
         "requires E[log gamma] > 0 (lambda > 0)")
 
 
-def reconstruct_x_finite(zs, n_future):
-    """Finite-horizon inversion: X_n = Z_n/N_{n+p} + Z_n sum_k 1/(Z_{n+k-1} Z_{n+k}).
+def _log_x_hat(log_zs, log_n=None):
+    """log X_n = log Z_n + logaddexp(-log N, log S) along the last axis, with
+    S = sum_k 1/(Z_{n+k-1} Z_{n+k}) over `log_zs` = log Z_n .. log Z_{n+p}.
 
-    `zs` holds Z_n .. Z_{n+p} from one path and `n_future` the NA-part
-    N_{n+p} of the same path; the identity is exact for every n, p >= 0.
-    A 2-D `zs` holds one path's run a row, all of the same p, with one
-    `n_future` a row; each row's value, returned as an array, is the one
-    its row gives alone, bit for bit (numpy sums a row of a C-contiguous
-    array along the last axis as it sums that row alone).
+    log S is a log-sum-exp shifted by its largest exponent, -inf for p = 0;
+    `log_n` None stands for N = inf, so 1/N = 0.  Every step runs along the
+    last axis, so each row of a 2-D `log_zs` comes out as it does alone, bit
+    for bit (numpy sums a row of a C-contiguous array along the last axis as
+    it sums that row alone).  No Z or 1/(Z Z) is ever formed, so nothing
+    leaves the double range however far the walk drifts.
     """
-    zs = np.asarray(zs, dtype=float)
-    n_future = np.asarray(n_future, dtype=float)
-    if zs.ndim not in (1, 2) or zs.shape[-1] < 1:
-        raise ValueError("need at least Z_n")
-    if np.any(zs <= 0.0) or np.any(n_future <= 0.0):
-        raise ValueError("inputs must be positive")
-    with np.errstate(over="ignore"):  # Z_k Z_(k+1) = inf adds 1/inf = 0, exact
-        series = np.sum(1.0 / (zs[..., :-1] * zs[..., 1:]), axis=-1)
-    z_n = zs[..., 0]
-    out = z_n / n_future + z_n * series
+    log_zs = np.asarray(log_zs, dtype=float)
+    if log_zs.ndim not in (1, 2) or log_zs.shape[-1] < 1:
+        raise ValueError("need at least log Z_n")
+    inv_n = -np.inf if log_n is None else -np.asarray(log_n, dtype=float)
+    if not (np.isfinite(log_zs).all() and np.all(inv_n < np.inf)):
+        raise ValueError("log Z and log N must be finite")
+    expo = -(log_zs[..., :-1] + log_zs[..., 1:])
+    if expo.shape[-1]:
+        top = expo.max(axis=-1)
+        log_s = top + np.log(np.sum(np.exp(expo - top[..., None]), axis=-1))
+    else:
+        log_s = np.full(expo.shape[:-1], -np.inf)
+    return log_zs[..., 0] + np.logaddexp(inv_n, log_s)
+
+
+def reconstruct_x_finite(log_zs, log_n_future):
+    """Finite-horizon inversion; returns log X_n from
+    X_n = Z_n/N_{n+p} + Z_n sum_k 1/(Z_{n+k-1} Z_{n+k}).
+
+    `log_zs` holds log Z_n .. log Z_{n+p} from one path and `log_n_future`
+    the log NA-part log N_{n+p} of the same path; the identity is exact for
+    every n, p >= 0.  A 2-D `log_zs` holds one path's run a row, all of the
+    same p, with one `log_n_future` a row; each row's value, returned as an
+    array, is the one its row gives alone, bit for bit.
+    """
+    out = _log_x_hat(log_zs, log_n_future)
     return float(out) if out.ndim == 0 else out
 
 
-def reconstruct_x_limit(zs_tail=None, *, log_zs_tail=None, n_inf=None,
-                        positive_lambda: bool = True, tol: float = 1e-6) -> float:
-    """Infinite-horizon inversion; returns log X_n.
+def reconstruct_x_limit(log_zs_tail, log_n_inf=None, tol: float = 1e-6) -> float:
+    """Infinite-horizon inversion: the finite form with N_{n+p} -> N_inf;
+    returns log X_n.
 
-    positive_lambda=True needs the limiting NA-part `n_inf` and computes
-        log X_n = log(Z_n / N_inf) + log1p(N_inf * S),
-    otherwise (drift nonpositive, N_{n+p} -> inf)
-        log X_n = log Z_n + log S,
-    with S = sum_{k>=1} 1/(Z_{n+k-1} Z_{n+k}) truncated at the available
-    tail.  Either plain Z values or their logs may be supplied; raises
-    InsufficientTailError when the trailing min(100, half) terms still
-    contribute more than `tol` relative to S.
+    `log_zs_tail` holds log Z_n onwards and `log_n_inf` the log of the
+    limiting NA-part; None stands for nonpositive drift, where
+    N_{n+p} -> inf and 1/N_inf = 0.  The series is truncated at the
+    available tail: raises InsufficientTailError when the trailing
+    min(100, half) terms still contribute more than `tol` relative to S.
     """
-    if (zs_tail is None) == (log_zs_tail is None):
-        raise ValueError("supply exactly one of zs_tail / log_zs_tail")
-    if zs_tail is not None:
-        zs_tail = np.asarray(zs_tail, dtype=float)
-        if np.any(zs_tail <= 0.0):
-            raise ValueError("Z values must be positive")
-        lz = np.log(zs_tail)
-    else:
-        lz = np.asarray(log_zs_tail, dtype=float)
+    lz = np.asarray(log_zs_tail, dtype=float)
     if lz.size < 8:
         raise InsufficientTailError("tail must contain at least 8 values")
-    with np.errstate(under="ignore"):
-        terms = np.exp(-(lz[:-1] + lz[1:]))
-    s = float(np.sum(terms))
-    if s <= 0.0:
-        raise InsufficientTailError("series underflowed to zero")
-    probe = min(100, terms.size // 2)
-    if float(np.sum(terms[-probe:])) > tol * s:
+    probe = min(100, (lz.size - 1) // 2)
+    # log S of the whole tail and of its last `probe` terms
+    log_s = _log_x_hat(lz) - lz[0]
+    log_tail = _log_x_hat(lz[-probe - 1:]) - lz[-probe - 1]
+    if log_tail - log_s > math.log(tol):
         raise InsufficientTailError(
             f"last {probe} series terms exceed the requested tolerance")
-    if positive_lambda:
-        if n_inf is None or n_inf <= 0.0:
-            raise ValueError("positive-drift reconstruction needs n_inf > 0")
-        return float(lz[0] - np.log(n_inf) + np.log1p(n_inf * s))
-    return float(lz[0] + np.log(s))
+    return float(_log_x_hat(lz, log_n_inf))
 
 
 def path_to_csv(path: WalkPath, fileobj) -> None:

@@ -18,10 +18,9 @@ from gigwalk.kernels import (LogGrid, characterization_discrepancy,
 from gigwalk.stats import (donsker_check, dufresne_test,
                            generator_drift_check, n_part_statistics,
                            scaling_limit_test)
-from gigwalk.walk import (WalkConfig, WalkPath, n_parts, phi_forward,
-                          phi_inverse, phi_jacobian_det, f_n,
-                          reconstruct_x_finite, reconstruct_x_limit,
-                          simulate_path)
+from gigwalk.walk import (WalkConfig, WalkPath, phi_forward, phi_inverse,
+                          phi_jacobian_det, f_n, reconstruct_x_finite,
+                          reconstruct_x_limit, simulate_path)
 
 GRID = LogGrid.make()
 
@@ -84,20 +83,19 @@ def test_criterion_04_reconstruction():
         n = int(rng.integers(1, 51))
         p = int(rng.integers(0, 51))
         path = simulate_path(WalkConfig(params, 1.0, n + p, 0), rng=rng)
-        got = reconstruct_x_finite(path.zs[n - 1:n + p],
-                                   n_parts(path, n + p).n_na)
-        worst = max(worst, abs(got / path.xs[n - 1] - 1.0))
+        log_n = path.log_zs[n + p - 1] - path.log_xs[n + p - 1]
+        got = reconstruct_x_finite(path.log_zs[n - 1:n + p], log_n)
+        worst = max(worst, abs(np.expm1(got - path.log_xs[n - 1])))
     # positive-drift limit form on a long gentle path
     path = simulate_path(WalkConfig(GigParams.symmetric(0.5, 3.0), 1.0,
                                     12000, 405))
-    log_x_hat = reconstruct_x_limit(log_zs_tail=path.log_zs[2:],
-                                    n_inf=n_parts(path, 12000).n_na,
-                                    positive_lambda=True, tol=1e-6)
+    log_x_hat = reconstruct_x_limit(path.log_zs[2:],
+                                    path.log_zs[-1] - path.log_xs[-1], tol=1e-6)
     limit_err = abs(log_x_hat - path.log_xs[2])
     # nonpositive-drift limit form on the closed-form constant-gamma path
     ks = np.arange(4, 124)
     zs = (2.0 / 3.0) * (2.0**ks - 2.0**(-ks))
-    neg_err = abs(reconstruct_x_limit(zs, positive_lambda=False, tol=1e-14)
+    neg_err = abs(reconstruct_x_limit(np.log(zs), tol=1e-14)
                   - (-4.0 * np.log(2.0)))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and limit_err < 1e-4 and neg_err < 1e-8 and elapsed < 10.0

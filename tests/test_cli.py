@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -160,22 +159,44 @@ def test_reconstruct(tmp_path):
     assert json.loads(out.read_text())[0]["params"]["non_finite"] == 0
 
 
-def test_reconstruct_non_finite_residuals_fail(tmp_path, capsys):
-    # X and Z leave the double range on most of these fast-drifting paths,
-    # where rec / x is inf / inf: a NaN residual must fail, not pass
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, worst", [
+    # X drifts to 0 and Z to inf; in float64 98 of these 200 paths
+    # reconstructed an underflowed 0, read as a residual of exactly 1
+    (["--lambda", "-1", "--a", "1", "--seed", "2"], 2.27e-13),
+    # X and Z overflow; in float64 149 of these 200 residuals were NaN
+    (["--lambda", "2", "--a", "0.5", "--seed", "1"], 4.55e-13),
+], ids=["negative_drift", "positive_drift"])
+def test_reconstruct_checks_paths_beyond_the_double_range(tmp_path, argv,
+                                                          worst):
     out = tmp_path / "r.json"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert run(["reconstruct", "--lambda", "2", "--a", "0.5", "--steps",
-                    "1000", "--samples", "200", "--seed", "1",
-                    "--out", str(out)]) == 1
-    # the count below reports them; numpy's own warnings would only repeat it
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert run(["reconstruct", "--steps", "1000", "--samples", "200",
+                "--out", str(out)] + argv) == 0
     (rec,) = json.loads(out.read_text())
-    bad = rec["params"]["non_finite"]
-    assert 0 < bad < 200 and not rec["pass"]
+    assert rec["params"]["non_finite"] == 0 and rec["pass"]
+    assert rec["statistic"] == pytest.approx(worst, rel=0.01)
+
+
+def test_reconstruct_non_finite_residuals_fail(tmp_path, capsys, monkeypatch):
+    # a NaN reconstruction must fail the record, not pass as a small residual
+    exact, calls = walk.reconstruct_x_finite, []
+
+    def nan_in_one_row(log_zs, log_n_future):
+        out = exact(log_zs, log_n_future)
+        if not calls:
+            out[0] = np.nan
+        calls.append(out.size)
+        return out
+
+    monkeypatch.setattr(walk, "reconstruct_x_finite", nan_in_one_row)
+    out = tmp_path / "r.json"
+    assert run(["reconstruct", "--steps", "30", "--samples", "200",
+                "--seed", "1", "--out", str(out)]) == 1
+    (rec,) = json.loads(out.read_text())
+    assert rec["params"]["non_finite"] == 1 and not rec["pass"]
+    assert sum(calls) == 200
     assert np.isfinite(rec["statistic"]) and rec["statistic"] < rec["threshold"]
-    assert f"{bad} of 200 residuals are non-finite" in capsys.readouterr().err
+    assert "1 of 200 residuals are non-finite" in capsys.readouterr().err
 
 
 def test_converge(tmp_path):

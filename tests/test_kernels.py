@@ -11,17 +11,15 @@ from scipy.special import gammainc, gammaincc
 
 from gigwalk import kernels
 from gigwalk.gig import GigParams, gig_pdf, gig_sample, gig_scale
-from gigwalk.kernels import (LOG_STEP, PI_TAIL, GridCoverageError,
-                             KernelDensity, LogGrid, _apply_p, _ktilde_rows,
-                             _lambda_rows, _pi_grid,
+from gigwalk.kernels import (LOG_STEP, PI_TAIL, GridCoverageError, LogGrid,
+                             _apply_p, _ktilde_rows, _lambda_rows, _pi_grid,
                              characterization_discrepancy,
-                             check_detailed_balance, check_intertwining,
-                             check_stationarity, compose,
-                             conditional_x2_given_z2,
+                             check_detailed_balance, check_stationarity,
+                             compose, conditional_x2_given_z2,
                              conditional_x3_given_z3_z2,
                              intertwining_residuals, ktilde_density,
                              lambda_density, my_generator_coefficients,
-                             p_density, pi_density, q_density, residual_record)
+                             p_density, pi_density, q_density)
 from gigwalk.stats import ks_one_sample
 
 SEED = 27182818
@@ -210,17 +208,17 @@ def test_pi_is_inverse_gamma_alias():
 
 
 def test_compose_normalizes():
-    table = compose(KernelDensity("Q", 1.0, 1.0), KernelDensity("Q", 1.0, 1.0),
+    table = compose(partial(q_density, 1.0, 1.0), partial(q_density, 1.0, 1.0),
                     1.0, GRID)
     assert GRID.integrate(table) == pytest.approx(1.0, abs=2e-8)
 
 
 def test_compose_grid_refinement():
     fine = GRID.refined(2)
-    coarse_tab = compose(KernelDensity("Lambda", 1.0, 1.0),
-                         KernelDensity("P", 1.0, 1.0), 1.0, GRID)
-    fine_tab = compose(KernelDensity("Lambda", 1.0, 1.0),
-                       KernelDensity("P", 1.0, 1.0), 1.0, fine)
+    coarse_tab = compose(partial(lambda_density, 1.0, 1.0),
+                         partial(p_density, 1.0, 1.0), 1.0, GRID)
+    fine_tab = compose(partial(lambda_density, 1.0, 1.0),
+                       partial(p_density, 1.0, 1.0), 1.0, fine)
     # compare on the shared points (every other fine point is a coarse point)
     on_coarse = np.interp(np.log(GRID.points), np.log(fine.points), fine_tab)
     assert np.max(np.abs(on_coarse - coarse_tab)) < 1e-9
@@ -229,13 +227,13 @@ def test_compose_grid_refinement():
 def test_compose_boundary_diagnostic():
     narrow = LogGrid.make(1e-2, 1e2, 400)
     with pytest.raises(GridCoverageError):
-        compose(KernelDensity("P", 1.0, 1.0), KernelDensity("P", 1.0, 1.0),
+        compose(partial(p_density, 1.0, 1.0), partial(p_density, 1.0, 1.0),
                 1e-5, narrow)
 
 
 def test_intertwining_residuals():
-    assert check_intertwining(1.0, 1.0, 1.0, GRID) < 1e-6
-    assert check_intertwining(0.5, 2.0, 3.0, GRID) < 1e-6
+    assert intertwining_residuals(1.0, 1.0, [1.0], GRID)[1.0] < 1e-6
+    assert intertwining_residuals(0.5, 2.0, [3.0], GRID)[3.0] < 1e-6
 
 
 @pytest.mark.parametrize("lo, hi", [(1e-6, 1e6), (1e-4, 1e5)])
@@ -360,9 +358,9 @@ def test_table_blocks_cut_only_entries_that_underflow(link_lam, an_lam, a, n,
 def test_intertwining_sensitivity_to_perturbed_link():
     # shifting lambda by 0.2 inside Lambda only must break the identity
     lam, a, z = 1.0, 1.0, 1.0
-    wrong = KernelDensity("Lambda", lam + 0.2, a)
-    lp = compose(wrong, KernelDensity("P", lam, a), z, GRID)
-    ql = compose(KernelDensity("Q", lam, a), wrong, z, GRID)
+    wrong = partial(lambda_density, lam + 0.2, a)
+    lp = compose(wrong, partial(p_density, lam, a), z, GRID)
+    ql = compose(partial(q_density, lam, a), wrong, z, GRID)
     assert np.max(np.abs(lp - ql)) > 1e-3
 
 
@@ -512,19 +510,6 @@ def test_generator_coefficients():
     assert diffusion == 1.0
     with pytest.raises(ValueError):
         my_generator_coefficients(1.0, 0.0)
-
-
-def test_kernel_density_validation():
-    with pytest.raises(ValueError):
-        KernelDensity("X", 1.0, 1.0)
-    k = KernelDensity("Q", 1.0, 1.0)
-    assert k(1.0, 1.0) == q_density(1.0, 1.0, 1.0, 1.0)
-
-
-def test_residual_record_shape():
-    rec = residual_record("Q", 1.0, 1.0, 1.0, 1e-9, GRID, 1e-6)
-    assert rec["pass"] is True
-    assert rec["grid_spec"]["n"] == GRID.size
 
 
 def _simulate_z2_z3_x3(lam, a, n_paths, seed):

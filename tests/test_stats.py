@@ -157,10 +157,19 @@ def test_brownian_config_validation():
             BrownianConfig(*args)
 
 
+class _ZeroGenerator:
+    """A Generator stand-in whose Gaussians are all 0."""
+
+    def standard_normal(self, out):
+        out.fill(0.0)
+
+
 def test_continuous_simulator_deterministic_injection():
+    # zero Gaussians with drift 0 keep B at 0, so the integral is exactly t
     config = BrownianConfig(0.0, 0.5, 1e-3)
-    assert simulate_my_continuous(config, normals=0.0) == pytest.approx(
-        0.5, rel=1e-12)
+    b, acc = np.zeros(1), np.zeros(1)
+    stats._euler_blocks(config, Streams.of(_ZeroGenerator(), 1), b, acc)
+    assert float(np.exp(b[0]) * acc[0]) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_continuous_simulator_small_time_mean():

@@ -2,12 +2,12 @@
 
 Each value below is the `repr` of a statistic computed from a fixed seed
 before the 16 Monte Carlo shards were stepped in lockstep (gig.Streams), or,
-for the CLI's reconstruction statistics, before `reconstruct` assembled its
-paths as padded rows of one WalkPath, so these tests show that the seeded
-streams, and with them every seeded report, stayed bit-identical.  The
-pins hold for the numpy build they were taken on (numpy 2.4.6, x86-64);
-another build's Generator or ufunc rounding may move them without any
-change to this package.
+for the CLI's reconstruction statistics, when the inversion moved to log
+space (the draws were those of the float64 pins before it), so these tests
+show that the seeded streams, and with them every seeded report, stayed
+bit-identical.  The pins hold for the numpy build they were taken on
+(numpy 2.4.6, x86-64); another build's Generator or ufunc rounding may
+move them without any change to this package.
 
 A change that alters a stream on purpose (a new sampler, a stopping rule,
 another shard layout) must edit the pins it moves here and name each one in
@@ -66,13 +66,13 @@ def test_generator_drift_estimates():
 
 
 @pytest.mark.parametrize("argv, pinned", [
-    (["reconstruct", "--seed", "3"], "4.9960036108132044e-15"),
+    (["reconstruct", "--seed", "3"], "3.552713678800507e-15"),
     (["reconstruct", "--samples", "2000", "--steps", "100", "--lambda", "0.5",
-      "--a", "2", "--seed", "21"], "9.325873406851315e-15"),
+      "--a", "2", "--seed", "21"], "8.437694987151226e-15"),
     (["verify", "--samples", "3000", "--lambda", "2", "--a", "0.5",
-      "--seed", "4"], "2.8754776337791554e-14"),
+      "--seed", "4"], "2.842170943040441e-14"),
     (["verify", "--samples", "3000", "--lambda", "1.7", "--a", "1.3",
-      "--seed", "99"], "1.432187701766452e-14"),
+      "--seed", "99"], "1.4210854715202105e-14"),
 ])
 def test_reconstruction_statistic(tmp_path, argv, pinned):
     # the worst residual over every path, each batch of paths assembled as

@@ -343,29 +343,67 @@ def test_n_infinity_mean_matches_inverse_gamma():
     assert abs(draws.mean() - target) < 3.0 * se
 
 
+def log_n_na(path, index):
+    """log N_index = log Z_index - log X_index, for any drift."""
+    return path.log_zs[index - 1] - path.log_xs[index - 1]
+
+
 def test_reconstruct_finite_examples():
     path = simulate_path(WalkConfig(GigParams.symmetric(1, 1), 1.0, 7, 0),
                          gammas=np.ones(7))
     # n=3, p=4 on the unit path: 3/7 + 3*(1/3 - 1/7) = 1 = X_3 by telescoping
-    val = reconstruct_x_finite(path.zs[2:7], n_parts(path, 7).n_na)
-    assert val == pytest.approx(1.0, rel=1e-14)
+    val = reconstruct_x_finite(path.log_zs[2:7], log_n_na(path, 7))
+    assert np.exp(val) == pytest.approx(1.0, rel=1e-14)
     # p = 0 degenerates to Z_n / N_n = X_n
-    val = reconstruct_x_finite(path.zs[2:3], n_parts(path, 3).n_na)
-    assert val == pytest.approx(1.0, rel=1e-14)
+    val = reconstruct_x_finite(path.log_zs[2:3], log_n_na(path, 3))
+    assert np.exp(val) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_reconstruct_finite_random_path():
     path = random_path(1.0, 1.0, 25, SEED)
     n, p = 5, 20
-    val = reconstruct_x_finite(path.zs[n - 1:n + p], n_parts(path, n + p).n_na)
-    assert val == pytest.approx(path.xs[n - 1], rel=1e-10)
+    val = reconstruct_x_finite(path.log_zs[n - 1:n + p], log_n_na(path, n + p))
+    assert np.exp(val) == pytest.approx(path.xs[n - 1], rel=1e-10)
 
 
 @pytest.mark.filterwarnings("error")
 def test_reconstruct_finite_overflowing_products_are_silent():
-    # Z_1 Z_2 = inf contributes 1/inf = 0, which is exact in double precision
-    val = reconstruct_x_finite([1.0, 1e200, 1e200, 2.0], 4.0)
-    assert val == 1.0 / 4.0 + (1.0 / 1e200 + 0.0 + 1.0 / 2e200)
+    # Z_k Z_(k+1) = e^(+-1400) leaves the double range both ways, and so do
+    # its inverse and 1/N; in logs, X = Z/N + 2 Z/Z^2 = 3 Z/N with N = Z^2
+    for sign in (1.0, -1.0):
+        val = reconstruct_x_finite(np.full(3, sign * 700.0), sign * 1400.0)
+        assert val == pytest.approx(-sign * 700.0 + np.log(3.0), rel=1e-15)
+
+
+def test_reconstruct_rejects_non_finite_logs():
+    # log Z = -inf is Z = 0 and log N = -inf is N = 0: no walk gives either
+    for log_zs, log_n in (([0.0, np.nan], 0.0), ([0.0, -np.inf], 0.0),
+                          ([0.0, 1.0], -np.inf), ([0.0, 1.0], np.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            reconstruct_x_finite(log_zs, log_n)
+    with pytest.raises(ValueError, match="finite"):
+        reconstruct_x_limit(np.r_[np.zeros(9), np.inf])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lam=st.floats(-3.0, 3.0), a=st.floats(0.2, 5.0),
+       steps=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+@example(lam=2.0, a=0.5, steps=3000, seed=1, fracs=[0.0, 0.5, 0.99, 1.0])
+@example(lam=-1.0, a=1.0, steps=3000, seed=2, fracs=[0.0, 0.5, 0.99, 1.0])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reconstruct_finite_is_exact_whatever_the_drift(lam, a, steps, seed,
+                                                        fracs):
+    # at fast drift of either sign X and Z leave the double range long
+    # before step 3000; the log-space inversion must still recover X_n
+    gammas = gig_sample(GigParams.symmetric(lam, a),
+                        np.random.default_rng(seed), steps)
+    path = WalkPath.from_gammas(gammas, 1.0)
+    for frac in fracs:
+        n = 1 + int(frac * (steps - 1))
+        rec = reconstruct_x_finite(path.log_zs[n - 1:], log_n_na(path, steps))
+        residual = abs(np.expm1(rec - path.log_xs[n - 1]))
+        assert np.isfinite(residual) and residual < 1e-10, (n, residual)
 
 
 @settings(max_examples=30, deadline=None)
@@ -400,12 +438,12 @@ def test_padded_rows_equal_one_path_at_a_time(lam, a, delta, lengths, seed):
 def test_reconstruct_finite_rows_equal_one_run_at_a_time(p, rows, seed):
     # p above 128 takes numpy's pairwise summation past its first block
     rng = np.random.default_rng(seed)
-    zs = np.exp(rng.normal(0.0, 20.0, (rows, p + 1)))
-    n_future = np.exp(rng.normal(0.0, 5.0, rows))
-    got = reconstruct_x_finite(zs, n_future)
+    log_zs = rng.normal(0.0, 20.0, (rows, p + 1))
+    log_n_future = rng.normal(0.0, 5.0, rows)
+    got = reconstruct_x_finite(log_zs, log_n_future)
     assert got.shape == (rows,)
     for i in range(rows):
-        assert got[i] == reconstruct_x_finite(zs[i], n_future[i])
+        assert got[i] == reconstruct_x_finite(log_zs[i], log_n_future[i])
 
 
 def test_reconstruct_limit_negative_drift_closed_form():
@@ -413,7 +451,7 @@ def test_reconstruct_limit_negative_drift_closed_form():
     n0 = 4
     ks = np.arange(n0, n0 + 60)
     zs = (2.0 / 3.0) * (2.0**ks - 2.0**(-ks))
-    log_x = reconstruct_x_limit(zs, positive_lambda=False, tol=1e-14)
+    log_x = reconstruct_x_limit(np.log(zs), tol=1e-14)
     assert log_x == pytest.approx(-n0 * np.log(2.0), abs=1e-8)
 
 
@@ -422,9 +460,8 @@ def test_reconstruct_limit_positive_drift():
     lam, a, steps, n0 = 0.5, 3.0, 12000, 3
     path = random_path(lam, a, steps, SEED + 1)
     # N_steps stands in for N_inf: the remaining tail is ~exp(-2 E[log g] steps)
-    log_x_hat = reconstruct_x_limit(log_zs_tail=path.log_zs[n0 - 1:],
-                                    n_inf=n_parts(path, steps).n_na,
-                                    positive_lambda=True, tol=1e-6)
+    log_x_hat = reconstruct_x_limit(path.log_zs[n0 - 1:],
+                                    log_n_na(path, steps), tol=1e-6)
     assert abs(log_x_hat - path.log_xs[n0 - 1]) < 1e-4
 
 
@@ -433,11 +470,10 @@ def test_reconstruct_finite_limit_consistency():
     lam, a, steps, n0 = 0.5, 10.0, 10050, 3
     path = random_path(lam, a, steps, SEED + 2)
     p = 10000
-    finite = reconstruct_x_finite(path.zs[n0 - 1:n0 + p],
-                                  n_parts(path, n0 + p).n_na)
-    limit = np.exp(reconstruct_x_limit(log_zs_tail=path.log_zs[n0 - 1:],
-                                       n_inf=n_parts(path, steps).n_na,
-                                       positive_lambda=True, tol=1e-8))
+    finite = np.exp(reconstruct_x_finite(path.log_zs[n0 - 1:n0 + p],
+                                         log_n_na(path, n0 + p)))
+    limit = np.exp(reconstruct_x_limit(path.log_zs[n0 - 1:],
+                                       log_n_na(path, steps), tol=1e-8))
     assert finite == pytest.approx(limit, rel=1e-6)
 
 
@@ -445,7 +481,7 @@ def test_reconstruct_limit_insufficient_tail():
     # nearly-flat drift: 200 tail values cannot reach the tolerance
     path = random_path(0.5, 30.0, 200, SEED + 3)
     with pytest.raises(InsufficientTailError):
-        reconstruct_x_limit(path.zs, n_inf=1.0, positive_lambda=True, tol=1e-6)
+        reconstruct_x_limit(path.log_zs, 0.0, tol=1e-6)
 
 
 def test_csv_export_schema():
