@@ -3,7 +3,9 @@
 Every subcommand honors --seed (falling back to the GIGWALK_SEED environment
 variable), --tol, --format and --workers; reports are flat arrays of check
 records carrying a schema_version field.  Exit status: 0 when all invoked
-checks pass, 1 when any check fails, 2 on usage or domain errors.
+checks pass, 1 when any check fails, 2 on usage or domain errors and on
+a computation that gives up (a RuntimeError, such as a diverging series or
+a Monte Carlo lane process that died).
 
 Monte Carlo uses every CPU this process may use by default (the library's
 default is workers=1): the 16 fixed sample shards are split into up to
@@ -364,8 +366,9 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ValueError(f"workers must be at least 1, got {args.workers}")
         records, ok = _COMMANDS[args.command](args)
-    except (ValueError, IndexError, walk.DivergenceError,
-            stats.InsufficientConditioningError) as exc:
+    # RuntimeError covers walk.DivergenceError,
+    # stats.InsufficientConditioningError and a Monte Carlo lane that died
+    except (ValueError, IndexError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if records:

@@ -34,22 +34,26 @@ pi = inverse-gamma(lam, a^2/2) has an x^(-lam-1) tail, so
 check_stationarity by default spans pi's PI_TAIL and 1 - PI_TAIL quantiles
 instead.
 
-A composition "lead @ kernel" never holds the whole n x n block:
-_apply_kernel takes the kernel in blocks of a few targets, each row holding
-one target's values over every source, and fills the output slice by slice.
-The structured passes build their blocks from 1-D tables, leaving one exp
-per element that can be nonzero: a closed-form bound over each block's
-targets finds the source columns whose log-density lies below exp's
-underflow point, and those entries are set to 0.0 without an exp.
-Lambda's log-density is a source term plus a target term plus a source
-term times a target term (a rank-one exponent; the Bessel normalizers are
-one call over the grid).  Ktilde depends on x y through s = sqrt(1 + 4xy)
-and otherwise on y alone, and on a log-uniform grid x_i y_j depends only on
-i + j, so its x y terms are tables over the 2n - 1 values of i + j, and a
-block's exponents are one small matrix product of target terms with those
-tables.  P is never tabulated as a block at all: P(x, y) = P(1, y/x)/x, and
-on a log-uniform grid y_j/x_i depends only on j - i, so Lambda P is a
-Toeplitz convolution against one row of 2n - 1 values of P(1, .).
+A composition "lead @ kernel" never holds the whole n x n kernel:
+_apply_kernel takes it in blocks of a few targets, each row holding one
+target's values over a span of sources, and fills the output slice by
+slice.  A block holds live columns only.  Its sources are the span where
+some lead is nonzero, and the structured passes cut that span further: a
+closed-form bound over the block's targets finds the source columns whose
+log-density lies below exp's underflow point.  An entry left out is neither
+built nor multiplied, and the output is 0.0 wherever no live entry reaches
+it, as the full product would give.  The structured passes build their
+blocks from 1-D tables, leaving one exp per built element.  Lambda's
+log-density is a source term plus a target term plus a source term times a
+target term (a rank-one exponent; the Bessel normalizers are one call over
+the grid, the one that also gives Q's leads in intertwining_residuals).
+Ktilde depends on x y through s = sqrt(1 + 4xy) and otherwise on y alone,
+and on a log-uniform grid x_i y_j depends only on i + j, so its x y terms
+are tables over the 2n - 1 values of i + j, and a block's exponents are one
+small matrix product of target terms with those tables.  P is never
+tabulated as a block at all: P(x, y) = P(1, y/x)/x, and on a log-uniform
+grid y_j/x_i depends only on j - i, so Lambda P is a Toeplitz convolution
+against one row of 2n - 1 values of P(1, .).
 """
 
 from __future__ import annotations
@@ -199,15 +203,20 @@ def _as_out(logv):
     return out
 
 
+def _q_logpdf(lam: float, a: float, x, y, bessel_y):
+    """log q_density given bessel_y = log K_lam(a^2/y), so that a caller
+    holding that term for other uses evaluates it once."""
+    a2 = a * a
+    return (-np.log(2.0) - log_bessel_k(lam, a2)
+            + bessel_y - log_bessel_k(lam, a2 / x)
+            - np.log(y) - a2 * (x * x + y * y + 1.0) / (2.0 * x * y))
+
+
 def q_density(lam: float, a: float, x, y):
     """Z-chain kernel: (2K_lam(a^2))^-1 K_lam(a^2/y)/K_lam(a^2/x) y^-1
     exp(-a^2 (x^2+y^2+1)/(2xy))."""
     x, y = _pos(x, "x"), _pos(y, "y")
-    a2 = a * a
-    logv = (-np.log(2.0) - log_bessel_k(lam, a2)
-            + log_bessel_k(lam, a2 / y) - log_bessel_k(lam, a2 / x)
-            - np.log(y) - a2 * (x * x + y * y + 1.0) / (2.0 * x * y))
-    return _as_out(logv)
+    return _as_out(_q_logpdf(lam, a, x, y, log_bessel_k(lam, a * a / y)))
 
 
 def p_density(lam: float, a: float, x, y):
@@ -283,8 +292,9 @@ def pi_density(lam: float, a: float, x):
 # and page-faulted in on every block (78k-92k minor faults per n = 4000
 # Ktilde pass, 2**15 to 2**19); smaller ones pay more per-call overhead.
 _BLOCK_ELEMENTS = 1 << 14
-# exponent below which a block entry is set to 0.0 without an exp (see
-# _lambda_rows and _ktilde_rows): exp underflows to 0.0 below -745.13.  A
+# exponent below which a source column is left out of a block, neither
+# built nor multiplied (see _lambda_rows and _ktilde_rows): exp underflows
+# to 0.0 below -745.13.  A
 # bound and the exponents it bounds are sums of the same few terms, so they
 # round by about eps times the largest term, far inside the margin of 4.9 for
 # terms below 1e15.  numpy's exp takes a slow path on every element below
@@ -296,25 +306,32 @@ _UNDERFLOW = -750.0
 def _apply_kernel(leads, block, n: int) -> np.ndarray:
     """leads @ K without forming the n x n kernel K.
 
-    leads has shape (..., n) and block(i, j) returns the columns i:j of K
-    transposed, K[:, i:j].T: the kernel from every source to the targets i:j,
-    one target per row.  Blocks of at most _BLOCK_ELEMENTS give the output
-    slices i:j in turn.  Each row is contiguous along the sources, which is
-    the summed axis, so a block costs one matrix product with a long inner
-    dimension; at n = 4000 these products run 4x (one lead) to 8x (three
-    leads) faster than those of blocks of a few source rows.
+    leads has shape (..., n).  block(i, j, lo, hi) returns (lo', hi', vals):
+    a span lo':hi' within the sources lo:hi outside which the kernel to the
+    targets i:j is 0.0, and vals = K[lo':hi', i:j].T, one target per row.
+    The sources passed are the span where some lead is nonzero, so a block
+    holds neither zero columns of K nor columns that zero leads multiply.
+    Targets come in blocks of at most _BLOCK_ELEMENTS // n rows, and each
+    output slice is leads[..., lo':hi'] @ vals.T, one matrix product whose
+    inner dimension runs along the contiguous rows of vals; every other
+    entry of the output is 0.0, which is what the product over all sources
+    gives there.
 
-    A block may be mostly exact zeros: the structured blocks (_lambda_rows,
-    _ktilde_rows) bound each source column's log-density over the block's
-    targets in closed form and set the entries whose bound is below
-    _UNDERFLOW to 0.0 without an exp, as exp would.  The product is taken
-    over the whole block all the same.
+    The structured blocks (_lambda_rows, _ktilde_rows) cut their span by a
+    closed-form bound on each source column's log-density over the block's
+    targets: columns whose bound lies below _UNDERFLOW are left out, as exp
+    gives 0.0 there.
     """
-    out = np.empty(leads.shape[:-1] + (n,))
+    lo, hi = _span((leads != 0.0).reshape(-1, n).any(axis=0))
+    out = np.zeros(leads.shape[:-1] + (n,))
+    if lo == hi:
+        return out
     rows = max(1, _BLOCK_ELEMENTS // n)
     for i in range(0, n, rows):
         j = min(i + rows, n)
-        out[..., i:j] = leads @ block(i, j).T
+        b_lo, b_hi, vals = block(i, j, lo, hi)
+        if b_lo < b_hi:
+            out[..., i:j] = leads[..., b_lo:b_hi] @ vals.T
     return out
 
 
@@ -337,13 +354,13 @@ def _span(live: np.ndarray) -> tuple[int, int]:
     return lo, live.size - int(live[::-1].argmax())
 
 
-def _lambda_rows(lam: float, a: float, pts: np.ndarray):
+def _lambda_rows(lam: float, a: float, pts: np.ndarray, bessel: np.ndarray):
     """Target blocks (see _apply_kernel) of [Lambda(pts[i], pts[j])]_ij.
 
     log Lambda(z, x) = norm_z + power_x - slope_z * t_x with t = x + 1/x: a
-    rank-one exponent, so the Bessel normalizer of every source z is one
-    log_bessel_k call over pts.  The operations are those of lambda_density,
-    so the blocks are bit-identical to it.
+    rank-one exponent, so the Bessel normalizers of all sources z come from
+    one table, bessel = log_bessel_k(lam, a^2 / pts).  The operations are
+    those of lambda_density, so the blocks are bit-identical to it.
 
     A block is mostly exact zeros when the kernel is sharp.  Since slope_z >
     0, over the block's target rows
@@ -351,28 +368,21 @@ def _lambda_rows(lam: float, a: float, pts: np.ndarray):
         log Lambda(z, x) <= norm_z + max_r power_r - slope_z * min_r t_r,
 
     and only the span of source columns whose bound is above _UNDERFLOW is
-    built and exponentiated; every other entry is set to 0.0, which is what
-    exp gives there.
+    built and exponentiated; every other entry is 0.0, which is what exp
+    gives there.
     """
-    n = pts.size
-    a2 = a * a
-    norm = -np.log(2.0) - log_bessel_k(lam, a2 / pts)
-    slope = 0.5 * (a2 / pts)
+    norm = -np.log(2.0) - bessel
+    slope = 0.5 * (a * a / pts)
     power = (lam - 1.0) * np.log(pts)
     t = pts + 1.0 / pts
 
-    def block(i, j):
-        out = np.empty((j - i, n))
-        if j == i:
-            return out
-        bound = norm - slope * t[i:j].min()
-        lo, hi = _span(bound > _UNDERFLOW - power[i:j].max())
-        logv = norm[lo:hi] + power[i:j, None]
-        logv -= slope[lo:hi] * t[i:j, None]
-        np.exp(logv, out=out[:, lo:hi])
-        out[:, :lo] = 0.0
-        out[:, hi:] = 0.0
-        return out
+    def block(i, j, lo, hi):
+        bound = norm[lo:hi] - slope[lo:hi] * t[i:j].min()
+        cut_lo, cut_hi = _span(bound > _UNDERFLOW - power[i:j].max())
+        lo, hi = lo + cut_lo, lo + cut_hi
+        vals = norm[lo:hi] + power[i:j, None]
+        vals -= slope[lo:hi] * t[i:j, None]
+        return lo, hi, np.exp(vals, out=vals)
 
     return block
 
@@ -408,8 +418,8 @@ def _ktilde_rows(lam: float, a: float, pts: np.ndarray):
                       + max(H[i + j], H[k + j]) + max(c_i, c_k),
 
     and only the span of columns whose bound is above _UNDERFLOW is built
-    and exponentiated; every other entry is set to 0.0, which is what exp
-    gives there.  Raises ValueError when pts is not log-uniform.
+    and exponentiated; every other entry is 0.0, which is what exp gives
+    there.  Raises ValueError when pts is not log-uniform.
     """
     _require_log_uniform(pts)
     n = pts.size
@@ -424,23 +434,18 @@ def _ktilde_rows(lam: float, a: float, pts: np.ndarray):
     terms = np.stack((-a2 * pts, -a2 / (4.0 * pts), np.ones(n), c), axis=1)
     ay, by = terms[:, 0], terms[:, 1]
 
-    def block(i, j):
-        out = np.empty((j - i, n))
-        if j == i:
-            return out
+    def block(i, j, lo, hi):
         k = j - 1
-        bound = ay[i] * inv[k:k + n]
-        bound += by[k] * one_s[i:i + n]
-        bound += np.maximum(h[i:i + n], h[k:k + n])
-        lo, hi = _span(bound > _UNDERFLOW - max(c[i], c[k]))
+        bound = ay[i] * inv[k + lo:k + hi]
+        bound += by[k] * one_s[i + lo:i + hi]
+        bound += np.maximum(h[i + lo:i + hi], h[k + lo:k + hi])
+        cut_lo, cut_hi = _span(bound > _UNDERFLOW - max(c[i], c[k]))
+        lo, hi = lo + cut_lo, lo + cut_hi
         exps = terms[i:j] @ tables[:, i + lo:k + hi]
         step = exps.strides[1]
         skew = as_strided(exps, (j - i, hi - lo), (exps.strides[0] + step, step),
                           writeable=False)
-        np.exp(skew, out=out[:, lo:hi])
-        out[:, :lo] = 0.0
-        out[:, hi:] = 0.0
-        return out
+        return lo, hi, np.exp(skew)
 
     return block
 
@@ -460,6 +465,18 @@ def _apply_p(lam: float, a: float, leads, pts: np.ndarray) -> np.ndarray:
     return np.array([np.convolve(phi, c, mode="valid") for c in leads / pts])
 
 
+def _density_rows(density, pts: np.ndarray):
+    """Target blocks (see _apply_kernel) of [density(pts[i], pts[j])]_ij for a
+    density that takes broadcast source and target arrays: every source of
+    the span is built."""
+
+    def block(i, j, lo, hi):
+        return lo, hi, np.asarray(density(pts[None, lo:hi], pts[i:j, None]),
+                                  dtype=float)
+
+    return block
+
+
 def compose(first, second, source: float, grid: LogGrid | None = None) -> np.ndarray:
     """(first second)(source, v) = int second(y, v) first(source, dy) on the grid.
 
@@ -477,8 +494,7 @@ def compose(first, second, source: float, grid: LogGrid | None = None) -> np.nda
         raise GridCoverageError(
             f"intermediate law poorly covered: boundary mass {edge:.2e}, "
             f"total mass {total:.6f}; widen the grid")
-    return _apply_kernel(lead, lambda i, j: second(pts[None, :], pts[i:j, None]),
-                         pts.size)
+    return _apply_kernel(lead, _density_rows(second, pts), pts.size)
 
 
 def intertwining_residuals(lam: float, a: float, zs,
@@ -494,22 +510,28 @@ def intertwining_residuals(lam: float, a: float, zs,
     _apply_p), with P evaluated once on the 2n - 1 grid ratios; Q Lambda
     takes one blocked pass of the Lambda kernel (_apply_kernel) shared by
     all source points, its blocks built from per-source and per-target terms
-    (_lambda_rows).  Raises ValueError when the grid is not log-uniform.
+    (_lambda_rows) over the span where some Q lead is nonzero.  The Bessel
+    term log K_lam(a^2/y) of Q's leads and Lambda's normalizers is one
+    log_bessel_k call over the grid.  Raises ValueError when the grid is
+    not log-uniform.
     """
     zs = list(zs)
     _pos(zs, "z")
     grid = grid or LogGrid.make(step=_step_for(max(
         (_intertwining_curvature(lam, a, z) for z in zs), default=0.0)))
     pts, w = grid.points, grid.weights
+    bessel = log_bessel_k(lam, a * a / pts)
     lam_leads = np.array([w * np.asarray(lambda_density(lam, a, z, pts)) for z in zs])
-    q_leads = np.array([w * np.asarray(q_density(lam, a, z, pts)) for z in zs])
+    q_leads = np.array([w * _as_out(_q_logpdf(lam, a, float(z), pts, bessel))
+                        for z in zs])
     for z, lam_lead, q_lead in zip(zs, lam_leads, q_leads):
         for lead in (lam_lead, q_lead):
             if abs(float(lead.sum()) - 1.0) > 1e-8:
                 raise GridCoverageError(
                     f"kernel from source {z} poorly covered by the grid")
     with np.errstate(over="ignore"):
-        q_lambda = _apply_kernel(q_leads, _lambda_rows(lam, a, pts), pts.size)
+        q_lambda = _apply_kernel(q_leads, _lambda_rows(lam, a, pts, bessel),
+                                 pts.size)
     diff = _apply_p(lam, a, lam_leads, pts) - q_lambda
     worst = np.max(np.abs(diff), axis=-1)
     return {z: float(r) for z, r in zip(zs, worst)}
@@ -595,6 +617,49 @@ def check_detailed_balance(lam: float, a: float, pairs) -> float:
     return float(np.max(np.abs(np.expm1(log_ratio))))
 
 
+def _x2_unnorm(f, z: float):
+    """t -> f((t+1)/z) f(t z/(t+1)), the unnormalized X_2 | Z_2 = z density."""
+    if z <= 0.0:
+        raise ValueError("z must be positive")
+
+    def unnorm(t):
+        return np.asarray(f((t + 1.0) / z)) * np.asarray(f(t * z / (t + 1.0)))
+
+    return unnorm
+
+
+def _x3_unnorm(f, z: float, u: float):
+    """The unnormalized X_3 | (Z_3, Z_2) = (z, u) density."""
+    if z <= 0.0 or u <= 0.0:
+        raise ValueError("z and u must be positive")
+
+    def unnorm(t):
+        return (np.asarray(f((u * t + z + 1.0) / (u * z)))
+                * np.asarray(f((u * u * t + u) / (u * t + z + 1.0)))
+                * np.asarray(f(t * z / (u * t + 1.0))))
+
+    return unnorm
+
+
+def _on_grid(unnorm, grid: LogGrid):
+    """(unnorm at the grid points, its quadrature integral): the one
+    evaluation of an unnormalized conditional on the grid."""
+    vals = unnorm(grid.points)
+    norm = grid.integrate(vals)
+    if not norm > 0.0:
+        raise ValueError("conditional normalization underflowed")
+    return vals, norm
+
+
+def _conditional(unnorm, x, grid: LogGrid | None):
+    """unnorm at x, normalized by its integral over the grid."""
+    _, norm = _on_grid(unnorm, grid or default_grid())
+    out = unnorm(x) / norm
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
+
+
 def conditional_x2_given_z2(f, z: float, x, grid: LogGrid | None = None):
     """Conditional density of X_2 given Z_2 = z for generic increment density f:
 
@@ -602,21 +667,8 @@ def conditional_x2_given_z2(f, z: float, x, grid: LogGrid | None = None):
 
     normalized by quadrature over the grid.
     """
-    grid = grid or default_grid()
     x = _pos(x, "x")
-    if z <= 0.0:
-        raise ValueError("z must be positive")
-
-    def unnorm(t):
-        return np.asarray(f((t + 1.0) / z)) * np.asarray(f(t * z / (t + 1.0)))
-
-    norm = grid.integrate(unnorm(grid.points))
-    if not norm > 0.0:
-        raise ValueError("conditional normalization underflowed")
-    out = unnorm(x) / norm
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _conditional(_x2_unnorm(f, z), x, grid)
 
 
 def conditional_x3_given_z3_z2(f, z: float, u: float, x,
@@ -627,23 +679,8 @@ def conditional_x3_given_z3_z2(f, z: float, u: float, x,
 
     normalized by quadrature over the grid.
     """
-    grid = grid or default_grid()
     x = _pos(x, "x")
-    if z <= 0.0 or u <= 0.0:
-        raise ValueError("z and u must be positive")
-
-    def unnorm(t):
-        return (np.asarray(f((u * t + z + 1.0) / (u * z)))
-                * np.asarray(f((u * u * t + u) / (u * t + z + 1.0)))
-                * np.asarray(f(t * z / (u * t + 1.0))))
-
-    norm = grid.integrate(unnorm(grid.points))
-    if not norm > 0.0:
-        raise ValueError("conditional normalization underflowed")
-    out = unnorm(x) / norm
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _conditional(_x3_unnorm(f, z, u), x, grid)
 
 
 def characterization_discrepancy(f, z: float, u: float,
@@ -652,12 +689,13 @@ def characterization_discrepancy(f, z: float, u: float,
 
     Vanishes (to quadrature precision) exactly when f is a GIG(lam, a, a)
     density; strictly positive for every other smooth positive law, which is
-    the computable face of the characterization theorem.
+    the computable face of the characterization theorem.  Each conditional
+    is evaluated once on the grid, for its normalizer and its values alike.
     """
     grid = grid or default_grid()
-    c2 = conditional_x2_given_z2(f, z, grid.points, grid)
-    c3 = conditional_x3_given_z3_z2(f, z, u, grid.points, grid)
-    return float(np.max(np.abs(c2 - c3)))
+    x2, norm2 = _on_grid(_x2_unnorm(f, z), grid)
+    x3, norm3 = _on_grid(_x3_unnorm(f, z, u), grid)
+    return float(np.max(np.abs(x2 / norm2 - x3 / norm3)))
 
 
 def my_generator_coefficients(lam: float, z: float) -> tuple[float, float]:

@@ -291,7 +291,7 @@ def test_workers_beyond_the_shards_fork_at_most_15_times(tmp_path, monkeypatch):
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("error", [walk.DivergenceError, ValueError])
+@pytest.mark.parametrize("error", [walk.DivergenceError, ValueError, RuntimeError])
 def test_child_lane_errors_exit_2(error, monkeypatch, capsys):
     caller = os.getpid()
     real = stats.n_infinity_batch
@@ -305,6 +305,27 @@ def test_child_lane_errors_exit_2(error, monkeypatch, capsys):
     assert run(["dufresne", "--samples", str(2 * stats.LANE_FLOOR),
                 "--seed", "3", "--workers", "2"]) == 2
     assert "error: lane failed" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_child_lane_that_dies_exits_2(monkeypatch, capsys):
+    # a lane process that leaves without sending its result
+    monkeypatch.setattr(stats, "LANE_FLOOR", 100)
+    caller = os.getpid()
+    real = stats.n_infinity_batch
+
+    def batch(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(stats, "n_infinity_batch", batch)
+    assert run(["dufresne", "--samples", "400", "--seed", "3",
+                "--workers", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Monte Carlo lane process")
+    assert "exit code 3" in err and "Traceback" not in err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -12,7 +12,8 @@ from scipy.special import gammainc, gammaincc
 from gigwalk import kernels
 from gigwalk.gig import GigParams, gig_pdf, gig_sample, gig_scale
 from gigwalk.kernels import (LOG_STEP, PI_TAIL, GridCoverageError, LogGrid,
-                             _apply_p, _ktilde_rows, _lambda_rows, _pi_grid,
+                             _apply_kernel, _apply_p, _density_rows,
+                             _ktilde_rows, _lambda_rows, _pi_grid,
                              characterization_discrepancy,
                              check_detailed_balance, check_stationarity,
                              compose, conditional_x2_given_z2,
@@ -20,6 +21,7 @@ from gigwalk.kernels import (LOG_STEP, PI_TAIL, GridCoverageError, LogGrid,
                              intertwining_residuals, ktilde_density,
                              lambda_density, my_generator_coefficients,
                              p_density, pi_density, q_density)
+from gigwalk.specfun import log_bessel_k
 from gigwalk.stats import ks_one_sample
 
 SEED = 27182818
@@ -263,6 +265,52 @@ def test_kernel_application_matches_dense_blocks(lo, hi, n, monkeypatch):
             assert abs(check_stationarity(lam, a, grid) - dense) < 1e-14
 
 
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(0.1, 3.0), a=st.floats(0.5, 3.0), n=st.integers(20, 300),
+       start=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0),
+       leads=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@example(lam=1.0, a=1.0, n=100, start=0.5, width=0.0, leads=3, seed=1)
+@example(lam=1.0, a=1.0, n=100, start=0.5, width=0.03, leads=2, seed=1)
+def test_kernel_passes_skip_zero_leads_exactly(lam, a, n, start, width, leads,
+                                               seed):
+    # leads of unit mass zeroed outside a window: the Lambda, Ktilde and
+    # compose passes build only the window's sources, and must give the
+    # product with the kernel their blocks tabulate over every source
+    pts = LogGrid.make(1e-3, 1e3, n).points
+    lo = int(start * (n - 1))
+    hi = lo + int(width * (n - lo))  # the examples: no source, one source
+    lead = np.zeros((leads, n))
+    live = np.random.default_rng(seed).random((leads, hi - lo))
+    lead[:, lo:hi] = live / live.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore"), \
+            mock.patch.object(kernels, "_BLOCK_ELEMENTS", 7 * n):  # many row blocks
+        for rows in (_link_rows(lam, a, pts), _ktilde_rows(lam, a, pts),
+                     _density_rows(partial(q_density, lam, a), pts)):
+            dense = lead @ _target_blocks(rows, n, n // 2).T
+            got = _apply_kernel(lead, rows, n)
+            assert np.max(np.abs(got - dense)) <= 1e-14 * max(1.0, np.max(dense))
+            if lo == hi:
+                assert np.array_equal(got, np.zeros((leads, n)))
+                assert not np.signbit(got).any()
+
+
+def test_intertwining_q_leads_are_q_density(monkeypatch):
+    # the shared Bessel term gives Q's leads in q_density's own operations
+    lam, a, zs = 1.3, 0.9, (0.2, 1.0, 5.0)
+    seen = []
+    apply_kernel = kernels._apply_kernel
+
+    def spy(leads, block, n):
+        seen.append(leads.copy())
+        return apply_kernel(leads, block, n)
+
+    monkeypatch.setattr(kernels, "_apply_kernel", spy)
+    grid = LogGrid.make(n=801)
+    intertwining_residuals(lam, a, zs, grid)
+    ref = np.array([grid.weights * q_density(lam, a, z, grid.points) for z in zs])
+    assert len(seen) == 1 and np.array_equal(seen[0], ref)
+
+
 def test_p_convolution_rejects_non_log_uniform_grid():
     grid = LogGrid.make(n=801)
     bent = LogGrid(grid.points * (1.0 + 1e-9 * np.sin(np.arange(grid.size))),
@@ -285,9 +333,19 @@ def _table_grid(n, log_lo, log_hi):
     return LogGrid.make(10.0 ** log_lo, 10.0 ** log_hi, n).points
 
 
+def _link_rows(lam, a, pts):
+    return _lambda_rows(lam, a, pts, log_bessel_k(lam, a * a / pts))
+
+
 def _target_blocks(rows, n, split):
-    # two target blocks, so that a block not starting at row 0 is covered
-    return np.vstack([rows(0, split), rows(split, n)])
+    # two target blocks, so that a block not starting at row 0 is covered,
+    # each from every source and laid into a zero matrix at its live span
+    out = np.zeros((n, n))
+    for i, j in ((0, split), (split, n)):
+        if i < j:
+            lo, hi, vals = rows(i, j, 0, n)
+            out[i:j, lo:hi] = vals
+    return out
 
 
 _TABLE_CASES = dict(a=st.floats(0.3, 3.0), n=st.integers(50, 400),
@@ -301,7 +359,7 @@ def test_lambda_table_blocks_match_pointwise_density(lam, a, n, log_lo, log_hi,
                                                      split):
     pts = _table_grid(n, log_lo, log_hi)
     with np.errstate(over="ignore"):
-        got = _target_blocks(_lambda_rows(lam, a, pts), n, int(split * n))
+        got = _target_blocks(_link_rows(lam, a, pts), n, int(split * n))
     ref = lambda_density(lam, a, pts[None, :], pts[:, None])
     live = ref > 1e-250
     assert np.all(np.abs(got[live] / ref[live] - 1.0) <= 1e-13)
@@ -343,7 +401,7 @@ def test_table_blocks_cut_only_entries_that_underflow(link_lam, an_lam, a, n,
 
     def blocks():
         with np.errstate(over="ignore"):
-            return (_target_blocks(_lambda_rows(link_lam, a, pts), n, split),
+            return (_target_blocks(_link_rows(link_lam, a, pts), n, split),
                     _target_blocks(_ktilde_rows(an_lam, a, pts), n, split))
 
     link, an = blocks()
@@ -489,6 +547,18 @@ def test_conditional_x3_differs_for_lognormal():
     c2 = conditional_x2_given_z2(f, 2.0, GRID.points, GRID)
     c3 = conditional_x3_given_z3_z2(f, 2.0, 1.5, GRID.points, GRID)
     assert np.max(np.abs(c2 - c3)) > 1e-2
+
+
+def test_characterization_is_the_gap_of_the_public_conditionals():
+    # one evaluation of each conditional on the grid, bit for bit the values
+    # and normalizers of conditional_x2_given_z2 and conditional_x3_given_z3_z2
+    params = GigParams.symmetric(0.7, 1.2)
+    for f in (partial(gig_pdf, params), partial(spstats.lognorm.pdf, s=0.5)):
+        for z, u in _ZU_PAIRS:
+            gap = np.max(np.abs(
+                conditional_x2_given_z2(f, z, GRID.points, GRID)
+                - conditional_x3_given_z3_z2(f, z, u, GRID.points, GRID)))
+            assert characterization_discrepancy(f, z, u, GRID) == gap
 
 
 def test_characterization_separation():

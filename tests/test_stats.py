@@ -226,6 +226,38 @@ def test_z_independence_null_and_control():
     assert ctrl.distance_correlation > 0.02
 
 
+def _u_centred(v):
+    d = np.abs(np.subtract.outer(v, v))
+    n, rows = v.size, d.sum(axis=0)
+    out = d - rows[None, :] / (n - 2) - rows[:, None] / (n - 2) \
+        + rows.sum() / ((n - 1) * (n - 2))
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(block=st.integers(4, 150), blocks=st.integers(1, 3), tail=st.integers(0, 3),
+       ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_dcov_sums_equal_the_u_centred_matrices(block, blocks, tail, ties, seed):
+    # reference: the U-centred distance matrices of each block and their
+    # products, formed in full; a tail shorter than a block is left out
+    rng = np.random.default_rng(seed)
+    x = np.exp(rng.standard_normal(block * blocks + tail))
+    y = 0.3 * x + rng.standard_normal(x.size)
+    if ties:
+        x = np.round(x, 1)
+    ref, raw = np.zeros(3), np.zeros(3)
+    for lo in range(0, block * blocks, block):
+        u, v = x[lo:lo + block], y[lo:lo + block]
+        a, b = _u_centred(u), _u_centred(v)
+        ref += [np.sum(a * b), np.sum(a * a), np.sum(b * b)]
+        # the sums of the uncentred distances, which the rounding scales with
+        a, b = np.abs(np.subtract.outer(u, u)), np.abs(np.subtract.outer(v, v))
+        raw += [np.sum(a * b), np.sum(a * a), np.sum(b * b)]
+    got = np.array(stats._dcov_sums(x, y, block)) * (block * (block - 3))
+    assert np.all(np.abs(got - ref) <= 1e-13 * raw)
+
+
 @settings(max_examples=10, deadline=None)
 @given(lam=st.floats(0.5, 3.0), a=st.floats(0.3, 5.0), n=st.integers(1, 60),
        samples=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
