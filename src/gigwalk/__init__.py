@@ -19,10 +19,9 @@ from .kernels import (LogGrid, characterization_discrepancy,
                       my_generator_coefficients, p_density, pi_density,
                       q_density)
 from .specfun import bessel_k, log_bessel_k
-from .stats import (BrownianConfig, EmpiricalSample, KsResult,
-                    donsker_check, dufresne_test, generator_drift_check,
-                    kolmogorov_critical, ks_one_sample, ks_two_sample,
-                    n_part_statistics, scaling_limit_test,
+from .stats import (BrownianConfig, KsResult, donsker_check, dufresne_test,
+                    generator_drift_check, kolmogorov_critical, ks_one_sample,
+                    ks_two_sample, n_part_statistics, scaling_limit_test,
                     simulate_my_continuous, z_independence_check)
 from .walk import (NParts, WalkConfig, WalkPath, f_n, n_infinity_batch,
                    n_parts, path_to_csv, phi_forward, phi_inverse,

@@ -1,18 +1,22 @@
 """Batch entry point: simulations and verification suites with report files.
 
-Every subcommand honors --seed (falling back to the GIGWALK_SEED environment
-variable), --tol, --format and --workers; reports are flat arrays of check
+Each subcommand takes only the options it reads (_SUBCOMMANDS), with its
+own defaults; any other flag is a usage error.  Every subcommand takes
+--seed, falling back to the GIGWALK_SEED environment variable.  `verify`
+runs intertwine, dufresne and reconstruct, each on its own parser's
+defaults for what verify does not set.  Reports are flat arrays of check
 records carrying a schema_version field.  Exit status: 0 when all invoked
 checks pass, 1 when any check fails, 2 on usage or domain errors and on
 a computation that gives up (a RuntimeError, such as a diverging series or
 a Monte Carlo lane process that died).
 
-Monte Carlo uses every CPU this process may use by default (the library's
-default is workers=1): the 16 fixed sample shards are split into up to
---workers contiguous lanes of at least stats.LANE_FLOOR samples on
-average, the caller runs the first and one forked process each other lane,
-and every lane steps its shards in lockstep groups of at most 20000
-samples (stats._sharded).  No result depends on --workers.
+Monte Carlo (dufresne, converge, verify) uses every CPU this process may
+use by default (the library's default is workers=1): the 16 fixed sample
+shards are split into up to --workers contiguous lanes of at least
+stats.LANE_FLOOR samples on average, the caller runs the first and one
+forked process each other lane, and every lane steps its shards in
+lockstep groups of at most 20000 samples (stats._sharded).  No result
+depends on --workers.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from .kernels import LogGrid
 from .walk import WalkConfig, simulate_path
 
 DEFAULT_SEED = 20260810
-DEFAULT_Z_SOURCES = "0.2,1,5"
 # reconstruct's increments per sampler call.  Swept over 2000-100000 on a
 # 2-core x86-64 host: 200 x 30 paths take 15-20 ms at any size; 20000 x 100
 # take 1.5-1.8 s below 20000 and 1.1-1.5 s from 20000 up, where peak RSS
@@ -57,8 +60,10 @@ def _timed(fn):
 
 
 def _record(test, params, seed, statistic, threshold, passed, runtime_ms):
-    return stats.report_record(test, params, seed, float(statistic),
-                               float(threshold), passed, round(runtime_ms, 3))
+    """JSON-ready record of one check."""
+    return {"schema_version": 1, "test": test, "params": params, "seed": seed,
+            "statistic": float(statistic), "threshold": float(threshold),
+            "pass": bool(passed), "runtime_ms": round(runtime_ms, 3)}
 
 
 def _write_report(records, fmt, out):
@@ -93,10 +98,9 @@ def _cmd_simulate(args):
     config = WalkConfig(GigParams.symmetric(args.lam, args.a),
                         args.delta, args.steps, args.seed)
     path = simulate_path(config)
-    out = args.out or "path.csv"
-    with open(out, "w") as fh:
+    with open(args.out, "w") as fh:
         walk.path_to_csv(path, fh)
-    print(f"wrote {args.steps} rows to {out}", file=sys.stderr)
+    print(f"wrote {args.steps} rows to {args.out}", file=sys.stderr)
     return [], True
 
 
@@ -105,16 +109,16 @@ def _grid(args):
     return None if args.grid_points is None else LogGrid.make(n=args.grid_points)
 
 
-def _kernel_records(args, z_sources):
+def _cmd_intertwine(args):
     grid = _grid(args)
-    tol_int = args.tol if args.tol is not None else 1e-6
+    z_sources = [float(z) for z in args.z.split(",")]
     records = []
     residuals, ms = _timed(lambda: kernels.intertwining_residuals(
         args.lam, args.a, z_sources, grid))
     for z, res in residuals.items():
         records.append(_record(
             "intertwining", {"lambda": args.lam, "a": args.a, "z": z},
-            args.seed, res, tol_int, res < tol_int, ms / len(residuals)))
+            args.seed, res, args.tol, res < args.tol, ms / len(residuals)))
     rng = np.random.default_rng(args.seed)
     pairs = np.exp(rng.normal(0.0, 1.0, (100, 2)))
     res, ms = _timed(lambda: kernels.check_detailed_balance(args.lam, args.a, pairs))
@@ -125,12 +129,6 @@ def _kernel_records(args, z_sources):
         res, ms = _timed(lambda: kernels.check_stationarity(args.lam, args.a, grid))
         records.append(_record("stationarity", {"lambda": args.lam, "a": args.a},
                                args.seed, res, 1e-7, res < 1e-7, ms))
-    return records
-
-
-def _cmd_intertwine(args):
-    z_sources = [float(z) for z in args.z.split(",")]
-    records = _kernel_records(args, z_sources)
     return records, all(r["pass"] for r in records)
 
 
@@ -195,7 +193,6 @@ def _cmd_converge(args):
 
 def _cmd_moments(args):
     params = GigParams.symmetric(args.lam, args.a)
-    tol = args.tol if args.tol is not None else 0.02
     records = []
     rows = []
     for m in (1, 2, 3, 4):
@@ -205,7 +202,7 @@ def _cmd_moments(args):
         rows.append((m, num, asym, ratio))
         records.append(_record(
             "log_moment_ratio", {"lambda": args.lam, "a": args.a, "m": m},
-            args.seed, ratio, tol, abs(ratio - 1.0) < tol, ms))
+            args.seed, ratio, args.tol, abs(ratio - 1.0) < args.tol, ms))
     print(f"{'m':>2} {'numeric':>16} {'asymptotic':>16} {'ratio':>10}",
           file=sys.stderr)
     for m, num, asym, ratio in rows:
@@ -217,18 +214,21 @@ def _cmd_moments(args):
 def _cmd_reconstruct(args):
     if args.samples < 1:
         raise ValueError(f"samples must be at least 1, got {args.samples}")
+    # one process draws every path: --workers is only checked, as elsewhere
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
     rng = np.random.default_rng(args.seed)
     horizon = max(args.steps, 4)
-    tol = args.tol if args.tol is not None else 1e-10
     params = GigParams.symmetric(args.lam, args.a)
 
     def worst_residual():
         # every path's (n, p) first, then the increments of consecutive
         # paths in sampler calls of about RECONSTRUCT_DRAWS draws: one call
         # per path spent its time on call overhead, and one call for all
-        # paths held every draw at once (163 MB for verify's defaults).  A
-        # call's paths are one WalkPath of rows padded with unit increments,
-        # and the paths of equal p are reconstructed together, in logs
+        # paths held every draw at once (163 MB for 20000 paths of horizon
+        # 100).  A call's paths are one WalkPath of rows padded with unit
+        # increments, and the paths of equal p are reconstructed together,
+        # in logs
         ns = rng.integers(1, horizon, args.samples)
         ps = rng.integers(0, horizon, args.samples)
         per_call = max(1, RECONSTRUCT_DRAWS // horizon)
@@ -264,28 +264,96 @@ def _cmd_reconstruct(args):
     rec = _record("reconstruction_identity",
                   {"lambda": args.lam, "a": args.a, "paths": args.samples,
                    "horizon": horizon, "non_finite": non_finite},
-                  args.seed, res, tol, res < tol and not non_finite, ms)
+                  args.seed, res, args.tol, res < args.tol and not non_finite,
+                  ms)
     return [rec], rec["pass"]
 
 
 def _cmd_verify(args):
-    z_sources = [float(z) for z in DEFAULT_Z_SOURCES.split(",")]
-    records = _kernel_records(args, z_sources)
-    for sub in (_cmd_dufresne, _cmd_reconstruct):
-        recs, _ = sub(args)
-        records.extend(recs)
+    # each check on its own parser: its defaults for what verify does not set
+    point = [f"--lambda={args.lam!r}", f"--a={args.a!r}", f"--seed={args.seed}"]
+    grid = [] if args.grid_points is None else [f"--grid-points={args.grid_points}"]
+    parser = _build_parser()
+    records = []
+    for argv in (["intertwine", *grid],
+                 ["dufresne", f"--samples={args.samples}",
+                  f"--workers={args.workers}"],
+                 ["reconstruct"]):
+        handler = _SUBCOMMANDS[argv[0]][0]
+        records.extend(handler(parser.parse_args(argv + point))[0])
     return records, all(r["pass"] for r in records)
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
-    "dufresne": _cmd_dufresne,
-    "intertwine": _cmd_intertwine,
-    "characterize": _cmd_characterize,
-    "converge": _cmd_converge,
-    "moments": _cmd_moments,
-    "reconstruct": _cmd_reconstruct,
+# every option a subcommand may take, by name: add_argument keywords, and
+# the flag where it is not --name
+_OPTIONS = {
+    "lambda": dict(dest="lam", type=float,
+                   help="GIG shape parameter (default %(default)s)"),
+    "a": dict(type=float,
+              help="GIG scale parameter, symmetric case (default %(default)s)"),
+    "delta": dict(type=float,
+                  help="lower-left increment entry (default %(default)s)"),
+    "steps": dict(type=int, help="walk length (default %(default)s)"),
+    "samples": dict(type=int,
+                    help="Monte Carlo sample count (default %(default)s)"),
+    "grid-points": dict(type=int,
+                        help="log-grid size over [1e-6, 1e6] for every kernel "
+                             "check (default: grids sized by the law, 1000 "
+                             "points over [1e-6, 1e6], more where a is large, "
+                             "and pi's quantiles for stationarity)"),
+    "seed": dict(type=int, help="master seed; falls back to GIGWALK_SEED, "
+                                f"then {DEFAULT_SEED}"),
+    "tol": dict(type=float, help="check tolerance (default %(default)s)"),
+    "out": dict(help="output file (default %(default)s); a report goes to "
+                     "stdout without one"),
+    "format": dict(dest="fmt", choices=["json", "csv"],
+                   help="report format (default %(default)s)"),
+    "workers": dict(type=int,
+                    help="Monte Carlo processes (default: the usable CPUs); "
+                         "splits the 16 fixed sample shards into up to N "
+                         f"lanes of at least {stats.LANE_FLOOR} samples on "
+                         "average, one forked process each beyond the first; "
+                         "results never depend on it (reconstruct draws in "
+                         "one process and only checks it)"),
+    "sources": dict(flag="--z", dest="z",
+                    help="comma-separated source points (default %(default)s)"),
+    "z": dict(type=float, help="conditioning value Z (default %(default)s)"),
+    "u": dict(type=float, help="conditioning value U (default %(default)s)"),
+}
+
+# what every subcommand takes, and every one that writes a report
+_POINT = {"lambda": 1.0, "a": 1.0, "seed": None}
+_REPORT = {"out": None, "format": "json"}
+_CPUS = _usable_cpus()
+
+# subcommand: (handler, help, the options it reads with their defaults)
+_SUBCOMMANDS = {
+    "simulate": (_cmd_simulate, "dump one walk path as CSV",
+                 {**_POINT, "delta": 1.0, "steps": 100, "out": "path.csv"}),
+    "verify": (_cmd_verify,
+               "intertwine + dufresne + reconstruct at their own defaults",
+               {**_POINT, **_REPORT, "samples": 20000, "grid-points": None,
+                "workers": _CPUS}),
+    "dufresne": (_cmd_dufresne, "KS test of the perpetuity limit law",
+                 {**_POINT, **_REPORT, "samples": 100000, "workers": _CPUS}),
+    "intertwine": (_cmd_intertwine,
+                   "intertwining, detailed balance, stationarity residuals",
+                   {**_POINT, **_REPORT, "sources": "0.2,1,5", "tol": 1e-6,
+                    "grid-points": None}),
+    "characterize": (_cmd_characterize,
+                     "conditional-law discrepancy for GIG and control laws",
+                     {**_POINT, **_REPORT, "z": 1.5, "u": 2.0,
+                      "grid-points": None}),
+    "converge": (_cmd_converge, "NA-part convergence to the limit law",
+                 {**_POINT, **_REPORT, "steps": 200, "samples": 20000,
+                  "workers": _CPUS}),
+    "moments": (_cmd_moments, "log-moment numeric vs asymptotic table",
+                {**_POINT, **_REPORT, "tol": 0.02}),
+    # takes --workers for the callers that pass it to every Monte Carlo
+    # subcommand (perfbench's serial runs)
+    "reconstruct": (_cmd_reconstruct, "finite-horizon reconstruction identity",
+                    {**_POINT, **_REPORT, "steps": 30, "samples": 200,
+                     "tol": 1e-10, "workers": _CPUS}),
 }
 
 
@@ -294,62 +362,12 @@ def _build_parser():
         prog="gigwalk",
         description="Simulate the GIG matrix walk and certify its limit identities.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, samples=20000, steps=100):
-        p.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                       help="GIG shape parameter (default 1.0)")
-        p.add_argument("--a", type=float, default=1.0,
-                       help="GIG scale parameter, symmetric case (default 1.0)")
-        p.add_argument("--delta", type=float, default=1.0,
-                       help="lower-left increment entry (default 1.0)")
-        p.add_argument("--steps", type=int, default=steps,
-                       help=f"walk length (default {steps})")
-        p.add_argument("--samples", type=int, default=samples,
-                       help=f"Monte Carlo sample count (default {samples})")
-        p.add_argument("--grid-points", type=int, default=None,
-                       help="log-grid size over [1e-6, 1e6] for every kernel "
-                            "check (default: grids sized by the law, 1000 "
-                            "points over [1e-6, 1e6], more where a is large, "
-                            "and pi's quantiles for stationarity)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed; falls back to GIGWALK_SEED, "
-                            f"then {DEFAULT_SEED}")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the check tolerance where applicable")
-        p.add_argument("--out", type=str, default=None,
-                       help="report (or CSV path) output file; stdout if omitted")
-        p.add_argument("--format", dest="fmt", choices=["json", "csv"],
-                       default="json", help="report format (default json)")
-        p.add_argument("--workers", type=int, default=_usable_cpus(),
-                       help="Monte Carlo processes (default: the usable "
-                            "CPUs); splits the 16 fixed sample shards into "
-                            "up to N lanes of at least "
-                            f"{stats.LANE_FLOOR} samples on average, one "
-                            "forked process each beyond the first; results "
-                            "never depend on it")
-        return p
-
-    common(sub.add_parser("simulate", help="dump one walk path as CSV"))
-    common(sub.add_parser("verify",
-                          help="intertwining + balance + Dufresne + reconstruction"))
-    common(sub.add_parser("dufresne", help="KS test of the perpetuity limit law"),
-           samples=100000)
-    p = common(sub.add_parser(
-        "intertwine", help="intertwining, detailed balance, stationarity residuals"))
-    p.add_argument("--z", type=str, default=DEFAULT_Z_SOURCES,
-                   help=f"comma-separated source points (default {DEFAULT_Z_SOURCES})")
-    p = common(sub.add_parser(
-        "characterize", help="conditional-law discrepancy for GIG and control laws"))
-    p.add_argument("--z", type=float, default=1.5,
-                   help="conditioning value Z (default 1.5)")
-    p.add_argument("--u", type=float, default=2.0,
-                   help="conditioning value U (default 2.0)")
-    common(sub.add_parser("converge", help="NA-part convergence to the limit law"),
-           samples=20000, steps=200)
-    common(sub.add_parser("moments", help="log-moment numeric vs asymptotic table"))
-    common(sub.add_parser("reconstruct",
-                          help="finite-horizon reconstruction identity"),
-           samples=200, steps=30)
+    for name, (_, summary, defaults) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for option, default in defaults.items():
+            spec = dict(_OPTIONS[option])
+            p.add_argument(spec.pop("flag", "--" + option), default=default,
+                           **spec)
     return parser
 
 
@@ -363,9 +381,7 @@ def main(argv=None) -> int:
             print("error: GIGWALK_SEED must be an integer", file=sys.stderr)
             return 2
     try:
-        if args.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {args.workers}")
-        records, ok = _COMMANDS[args.command](args)
+        records, ok = _SUBCOMMANDS[args.command][0](args)
     # RuntimeError covers walk.DivergenceError,
     # stats.InsufficientConditioningError and a Monte Carlo lane that died
     except (ValueError, IndexError, RuntimeError) as exc:

@@ -50,7 +50,6 @@ from .walk import n_infinity_batch, simulate_batch
 
 __all__ = [
     "BrownianConfig",
-    "EmpiricalSample",
     "GeneratorDriftResult",
     "InsufficientConditioningError",
     "KsResult",
@@ -63,7 +62,6 @@ __all__ = [
     "ks_one_sample",
     "ks_two_sample",
     "n_part_statistics",
-    "report_record",
     "scaling_limit_test",
     "simulate_my_continuous",
     "z_independence_check",
@@ -80,37 +78,6 @@ EULER_BLOCK_STEPS = 8
 
 class InsufficientConditioningError(RuntimeError):
     """Too few path steps fell inside the conditioning window."""
-
-
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """Sorted Monte Carlo sample with provenance."""
-
-    values: np.ndarray
-    seed: int
-    tag: str = ""
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.size < 2:
-            raise ValueError("sample needs at least two values")
-        if np.any(np.diff(v) < 0.0):
-            raise ValueError("values must be sorted ascending")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def from_draws(cls, draws, seed: int, tag: str = "") -> "EmpiricalSample":
-        return cls(np.sort(np.asarray(draws, dtype=float)), seed, tag)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def to_csv(self, fileobj) -> None:
-        """Full-precision dump with provenance columns, one row per value."""
-        fileobj.write("index,value,seed,tag\n")
-        for i, v in enumerate(self.values):
-            fileobj.write(f"{i},{float(v)!r},{self.seed},{self.tag}\n")
 
 
 @dataclass(frozen=True)
@@ -131,10 +98,9 @@ def kolmogorov_critical(alpha: float, n: int, m: int | None = None) -> float:
 
 
 def _values(sample) -> np.ndarray:
-    if isinstance(sample, EmpiricalSample):
-        xs = sample.values
-    else:
-        xs = np.sort(np.asarray(sample, dtype=float))
+    xs = np.sort(np.asarray(sample, dtype=float))
+    if xs.size < 2:
+        raise ValueError("sample needs at least two values")
     if not np.all(np.isfinite(xs)):
         raise ValueError("sample holds non-finite values: numerical overflow "
                          "upstream, not a statistical verdict")
@@ -356,8 +322,7 @@ def dufresne_test(lam: float, a: float, samples: int, seed: int,
     draws = _sharded(lambda c, r: n_infinity_batch(lam, a, c, r, tail_tol),
                      samples, seed, workers)
     target = InvGammaParams(lam, a * a / 2.0)
-    return ks_one_sample(EmpiricalSample.from_draws(draws, seed, "n_infinity"),
-                         lambda x: inverse_gamma_cdf(target, x), alpha)
+    return ks_one_sample(draws, lambda x: inverse_gamma_cdf(target, x), alpha)
 
 
 def n_part_statistics(lam: float, a: float, checkpoints, samples: int,
@@ -380,8 +345,8 @@ def n_part_statistics(lam: float, a: float, checkpoints, samples: int,
     ref_seed = int(np.random.SeedSequence(seed).generate_state(2)[1])
     reference = _sharded(lambda c, r: n_infinity_batch(lam, a, c, r, tail_tol),
                          samples, ref_seed, workers)
-    ref = EmpiricalSample.from_draws(reference, ref_seed, "n_infinity")
-    return {m: ks_two_sample(table[i], ref, alpha) for i, m in enumerate(marks)}
+    return {m: ks_two_sample(table[i], reference, alpha)
+            for i, m in enumerate(marks)}
 
 
 def donsker_check(lam: float, n: int, t: float, samples: int, seed: int,
@@ -393,8 +358,8 @@ def donsker_check(lam: float, n: int, t: float, samples: int, seed: int,
     draws = _sharded(lambda c, r: simulate_batch(params, 1.0, c, r, [m])[0, 0],
                      samples, seed, workers)
     sd = np.sqrt(t)
-    return ks_one_sample(EmpiricalSample.from_draws(draws, seed, "log_sum"),
-                         lambda x: special.ndtr((x - lam * t) / sd), alpha)
+    return ks_one_sample(draws, lambda x: special.ndtr((x - lam * t) / sd),
+                         alpha)
 
 
 @dataclass(frozen=True)
@@ -719,18 +684,3 @@ def z_independence_check(lam: float, a: float, n: int, samples: int,
     max_abs = max(abs(v) for v in correlations.values())
     return ZIndependenceResult(correlations, max_abs, 3.0 / np.sqrt(samples),
                                dcor, statistic)
-
-
-def report_record(test: str, params: dict, seed, statistic: float,
-                  threshold: float, passed: bool, runtime_ms: float) -> dict:
-    """JSON-ready record of one statistical check."""
-    return {
-        "schema_version": 1,
-        "test": test,
-        "params": params,
-        "seed": seed,
-        "statistic": statistic,
-        "threshold": threshold,
-        "pass": bool(passed),
-        "runtime_ms": runtime_ms,
-    }

@@ -124,17 +124,32 @@ class WalkPath:
         return cls(gammas, log_xs, log_zs, delta)
 
 
-def simulate_path(config: WalkConfig, rng=None, gammas=None) -> WalkPath:
-    """Simulate a path; a deterministic gamma stream may be injected for oracles."""
-    if gammas is None:
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
-        gammas = gig_sample(config.gig, rng, config.steps)
-    else:
-        gammas = np.asarray(gammas, dtype=float)
-        if gammas.size != config.steps:
-            raise ValueError("injected stream length must equal steps")
-    return WalkPath.from_gammas(gammas, config.delta)
+def simulate_path(config: WalkConfig, rng=None) -> WalkPath:
+    """Simulate a path from `rng`, by default a generator seeded with config.seed."""
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    return WalkPath.from_gammas(gig_sample(config.gig, rng, config.steps),
+                                config.delta)
+
+
+def _step(params: GigParams, delta: float, rng, log_x, n, term) -> None:
+    """One step of the walks whose log X and N are `log_x` and `n`, in place:
+    N += delta exp(-2 log X - log gamma), then log X += log gamma, one
+    gig_sample call of one draw a walk; `term` is a work array of their size.
+
+    The recursion runs in the callers' work arrays, reused from step to
+    step, with the operations of the plain expression in order.
+    (-2 log X) - log gamma and (-log gamma) - 2 log X are one real number
+    (doubling and negation are exact): the same double.
+    """
+    log_g = gig_sample(params, rng, log_x.size)
+    np.log(log_g, out=log_g)
+    np.multiply(log_x, -2.0, out=term)
+    term -= log_g
+    np.exp(term, out=term)
+    term *= delta
+    n += term
+    log_x += log_g
 
 
 def simulate_batch(params: GigParams, delta: float, count: int, rng,
@@ -147,9 +162,7 @@ def simulate_batch(params: GigParams, delta: float, count: int, rng,
 
     N grows by the positive terms delta exp(-log gamma - 2 log X), which may
     underflow to 0 but overflow only for log X below -354; callers derive
-    Z = N exp(log X) at the marks they need.  The recursion runs in work
-    arrays reused from step to step, with the operations of the plain
-    expression in order.
+    Z = N exp(log X) at the marks they need.
     """
     marks = sorted(set(int(m) for m in marks))
     if marks and marks[0] < 0:
@@ -162,16 +175,7 @@ def simulate_batch(params: GigParams, delta: float, count: int, rng,
     with np.errstate(under="ignore"):
         for i, mark in enumerate(marks):
             for _ in range(mark - step):
-                log_g = gig_sample(params, rng, count)
-                np.log(log_g, out=log_g)
-                # (-2 log X) - log gamma and (-log gamma) - 2 log X are one
-                # real number (doubling and negation are exact): same double
-                np.multiply(log_x, -2.0, out=term)
-                term -= log_g
-                np.exp(term, out=term)
-                term *= delta
-                n += term
-                log_x += log_g
+                _step(params, delta, rng, log_x, n, term)
             step = mark
             out[0, i] = log_x
             out[1, i] = n
@@ -268,9 +272,10 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
     downward excursions of the underlying log-gamma walk.  Exceeding
     `max_terms` raises DivergenceError.
 
-    The loop carries only the live draws' state, compacted whenever some
-    stop, in work arrays allocated once, and writes a draw to the output
-    once; each term makes one gig_sample call of one draw per live sample.
+    Each term is one walk step at delta = 1 (_step), the partial sum being
+    N and the squared prefix product exp(-2 log X).  The loop carries only
+    the live draws' state, compacted whenever some stop, in work arrays
+    allocated once, and writes a draw to the output once.
     `rng` may be a Streams of `size` draws: each live sample then keeps
     drawing from its own segment's generator.
     """
@@ -282,7 +287,7 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
     live = np.arange(size)
     # the live draws' state in the leading `k` slots of each work array
     total = np.zeros(size)
-    log_prefix = np.zeros(size)
+    log_x = np.zeros(size)
     persist = np.zeros(size, dtype=np.int64)
     term = np.empty(size)
     bound = np.empty(size)
@@ -291,21 +296,17 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
     for _ in range(max_terms):
         if not k:
             return out
-        tot, lp, run = total[:k], log_prefix[:k], persist[:k]
+        tot, lx, run = total[:k], log_x[:k], persist[:k]
         tm, bd, sm = term[:k], bound[:k], small[:k]
-        log_g = gig_sample(params, live_streams, k)
-        np.log(log_g, out=log_g)
         with np.errstate(over="ignore", under="ignore"):
-            np.subtract(lp, log_g, out=tm)
-            np.exp(tm, out=tm)
-            tot += tm
-            log_g *= 2.0
-            lp -= log_g
+            _step(params, 1.0, live_streams, lx, tot, tm)
             if not np.isfinite(tot).all():
                 raise DivergenceError(
                     "perpetuity series overflowed; "
                     "requires E[log gamma] > 0 (lambda > 0)")
-            np.exp(lp, out=tm)
+            # the squared prefix product X^-2 against the partial sum
+            np.multiply(lx, -2.0, out=tm)
+            np.exp(tm, out=tm)
             np.multiply(tot, tail_tol, out=bd)
             np.less(tm, bd, out=sm)
         run += 1
@@ -316,7 +317,7 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
             keep = going.nonzero()[0]
             live = live[keep]
             k = keep.size
-            total[:k], log_prefix[:k], persist[:k] = tot[keep], lp[keep], run[keep]
+            total[:k], log_x[:k], persist[:k] = tot[keep], lx[keep], run[keep]
             live_streams = streams.kept(live)
     raise DivergenceError(
         f"perpetuity series still active after {max_terms} terms; "

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -56,6 +57,75 @@ def test_verify_passes(tmp_path):
             "reconstruction_identity"} <= names
     assert all(r["pass"] for r in records)
     assert all(r["schema_version"] == 1 for r in records)
+    # the reconstruction runs at reconstruct's own defaults
+    (rec,) = [r for r in records if r["test"] == "reconstruction_identity"]
+    assert rec["params"]["paths"] == 200 and rec["params"]["horizon"] == 30
+    assert rec["threshold"] == 1e-10
+
+
+def test_report_record_fields(tmp_path):
+    out = tmp_path / "m.json"
+    assert run(["moments", "--a", "30", "--seed", "1", "--out", str(out)]) == 0
+    for rec in json.loads(out.read_text()):
+        assert rec["schema_version"] == 1
+        assert set(rec) == {"schema_version", "test", "params", "seed",
+                            "statistic", "threshold", "pass", "runtime_ms"}
+
+
+# small sizes for each subcommand; the options it takes do not depend on them
+READ_ARGS = {
+    "simulate": ["--steps", "5"],
+    "verify": ["--samples", "2000", "--grid-points", "1200"],
+    "dufresne": ["--samples", "2000"],
+    "intertwine": ["--z", "1", "--grid-points", "1200"],
+    "characterize": ["--grid-points", "1200"],
+    "converge": ["--samples", "2000", "--steps", "20"],
+    "moments": ["--a", "30"],
+    "reconstruct": [],
+}
+
+
+def test_each_subcommand_reads_exactly_its_options(tmp_path, monkeypatch):
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    parse = argparse.ArgumentParser.parse_args
+    total = 0
+    for command, extra in READ_ARGS.items():
+        taken = set(vars(cli._build_parser().parse_args([command])))
+        total += len(taken) - 1  # the subcommand itself is no option
+
+        def recording(self, args=None, namespace=None):
+            # the namespace main runs on; verify's own checks parse plainly
+            ns = parse(self, args, namespace)
+            return Recording(**vars(ns)) if ns.command == command else ns
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        reads.clear()
+        assert run([command, "--seed", "3", "--out",
+                    str(tmp_path / command)] + extra) == 0
+        monkeypatch.undo()
+        assert {r for r in reads if not r.startswith("_")} == taken, command
+    assert total == 60
+
+
+@pytest.mark.parametrize("argv", [
+    ["dufresne", "--tol", "0.5"],
+    ["reconstruct", "--delta", "0.5"],
+    ["verify", "--steps", "20"],
+    ["verify", "--tol", "1e-3"],
+    ["simulate", "--workers", "2"],
+    ["moments", "--samples", "10"],
+], ids="_".join)
+def test_unread_option_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
 
 
 def test_report_deterministic_modulo_runtime(tmp_path):
@@ -209,8 +279,7 @@ def test_converge(tmp_path):
 MONTE_CARLO_ARGS = {
     "dufresne": ["dufresne", "--samples", "3000"],
     "converge": ["converge", "--samples", "2000", "--steps", "60"],
-    "verify": ["verify", "--samples", "2000", "--steps", "20",
-               "--grid-points", "1200"],
+    "verify": ["verify", "--samples", "2000", "--grid-points", "1200"],
 }
 
 
@@ -267,9 +336,10 @@ def test_worker_count_never_changes_the_report(command, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_exit_2(workers, capsys):
-    assert run(["dufresne", "--samples", "2000", "--seed", "3",
-                "--workers", workers]) == 2
-    assert "workers must be at least 1" in capsys.readouterr().err
+    # reconstruct draws in one process and still refuses the value
+    for argv in (["dufresne", "--samples", "2000"], ["reconstruct"]):
+        assert run(argv + ["--seed", "3", "--workers", workers]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
 
 
 def test_workers_beyond_the_shards_fork_at_most_15_times(tmp_path, monkeypatch):

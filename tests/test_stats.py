@@ -14,13 +14,11 @@ from gigwalk import stats, walk
 from gigwalk.gig import (GigParams, InvGammaParams, Streams,
                          gig_log_moment_numeric, gig_sample, inverse_gamma_cdf,
                          spawn_rngs)
-from gigwalk.stats import (BrownianConfig, EmpiricalSample,
-                           InsufficientConditioningError, donsker_check,
-                           dufresne_test, generator_drift_check,
+from gigwalk.stats import (BrownianConfig, InsufficientConditioningError,
+                           donsker_check, dufresne_test, generator_drift_check,
                            kolmogorov_critical, ks_one_sample, ks_two_sample,
-                           n_part_statistics, report_record,
-                           scaling_limit_test, simulate_my_continuous,
-                           z_independence_check)
+                           n_part_statistics, scaling_limit_test,
+                           simulate_my_continuous, z_independence_check)
 from gigwalk.walk import n_infinity_batch, simulate_batch
 
 SEED = 16180339
@@ -33,27 +31,6 @@ def test_kolmogorov_critical_values():
         1.6276 * np.sqrt(2.0 / 50000.0), rel=1e-3)
 
 
-def test_empirical_sample_validation():
-    with pytest.raises(ValueError):
-        EmpiricalSample(np.array([2.0, 1.0]), 0)
-    with pytest.raises(ValueError):
-        EmpiricalSample(np.array([1.0]), 0)
-    s = EmpiricalSample.from_draws([3.0, 1.0, 2.0], 7, "x")
-    assert np.array_equal(s.values, [1.0, 2.0, 3.0])
-
-
-def test_empirical_sample_csv_dump():
-    import io
-
-    s = EmpiricalSample.from_draws([0.30000000000000004, 0.1], 7, "demo")
-    buf = io.StringIO()
-    s.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "index,value,seed,tag"
-    assert lines[1].split(",") == ["0", "0.1", "7", "demo"]
-    assert float(lines[2].split(",")[1]) == 0.30000000000000004
-
-
 def test_ks_one_sample_null_shifted_degenerate():
     rng = np.random.default_rng(SEED)
     draws = rng.standard_normal(100000)
@@ -61,6 +38,16 @@ def test_ks_one_sample_null_shifted_degenerate():
     assert not ks_one_sample(draws + 0.5, special.ndtr).passed
     tiny = ks_one_sample(np.array([0.1, 0.4]), special.ndtr)
     assert 0.0 <= tiny.statistic <= 1.0
+
+
+def test_ks_needs_two_values():
+    # one draw would pass any law: the critical value exceeds 1
+    with pytest.raises(ValueError, match="two values"):
+        ks_one_sample(np.array([0.1]), special.ndtr)
+    with pytest.raises(ValueError, match="two values"):
+        ks_two_sample(np.array([0.2, 0.3]), np.array([0.1]))
+    with pytest.raises(ValueError, match="two values"):
+        dufresne_test(1.0, 1.0, 1, SEED)
 
 
 def test_ks_one_sample_monotone_diagnostic():
@@ -87,7 +74,7 @@ def test_ks_rejects_non_finite_samples(bad):
     with pytest.raises(ValueError, match="overflow"):
         ks_two_sample(draws, np.array([0.2, 0.3]))
     with pytest.raises(ValueError, match="overflow"):
-        ks_two_sample(np.array([0.2, 0.3]), EmpiricalSample.from_draws(draws, 1))
+        ks_two_sample(np.array([0.2, 0.3]), draws)
 
 
 def test_dufresne_null_and_power():
@@ -361,13 +348,6 @@ def test_euler_helper_thread_ends_with_the_call_and_errors_propagate():
         assert not caller.is_alive()
     assert outcomes == ["fill failed"] * 3
     assert threading.active_count() == before
-
-
-def test_report_record_fields():
-    rec = report_record("dufresne", {"lambda": 1.0}, 7, 0.001, 0.005, True, 12.3)
-    assert rec["schema_version"] == 1
-    assert set(rec) == {"schema_version", "test", "params", "seed",
-                        "statistic", "threshold", "pass", "runtime_ms"}
 
 
 LOCKSTEP_DRAWS = {

@@ -69,10 +69,10 @@ def test_generator_drift_estimates():
     (["reconstruct", "--seed", "3"], "3.552713678800507e-15"),
     (["reconstruct", "--samples", "2000", "--steps", "100", "--lambda", "0.5",
       "--a", "2", "--seed", "21"], "8.437694987151226e-15"),
-    (["verify", "--samples", "3000", "--lambda", "2", "--a", "0.5",
-      "--seed", "4"], "2.842170943040441e-14"),
-    (["verify", "--samples", "3000", "--lambda", "1.7", "--a", "1.3",
-      "--seed", "99"], "1.4210854715202105e-14"),
+    (["reconstruct", "--samples", "3000", "--steps", "100", "--lambda", "2",
+      "--a", "0.5", "--seed", "4"], "2.842170943040441e-14"),
+    (["reconstruct", "--samples", "3000", "--steps", "100", "--lambda", "1.7",
+      "--a", "1.3", "--seed", "99"], "1.4210854715202105e-14"),
 ])
 def test_reconstruction_statistic(tmp_path, argv, pinned):
     # the worst residual over every path, each batch of paths assembled as

@@ -52,8 +52,7 @@ def test_single_step_path():
 
 
 def test_unit_gamma_path():
-    path = simulate_path(WalkConfig(GigParams.symmetric(1, 1), 1.0, 5, 0),
-                         gammas=np.ones(5))
+    path = WalkPath.from_gammas(np.ones(5), 1.0)
     assert np.allclose(path.zs, [1, 2, 3, 4, 5], rtol=1e-14)
     assert np.allclose(path.xs, 1.0)
 
@@ -185,8 +184,7 @@ def test_f_n_identity():
 
 
 def test_n_parts():
-    path = simulate_path(WalkConfig(GigParams.symmetric(1, 1), 1.0, 2, 0),
-                         gammas=np.ones(2))
+    path = WalkPath.from_gammas(np.ones(2), 1.0)
     parts = n_parts(path, 2)
     assert parts.n_na == pytest.approx(2.0, rel=1e-14)
     assert parts.n_an == pytest.approx(2.0, rel=1e-14)
@@ -349,8 +347,7 @@ def log_n_na(path, index):
 
 
 def test_reconstruct_finite_examples():
-    path = simulate_path(WalkConfig(GigParams.symmetric(1, 1), 1.0, 7, 0),
-                         gammas=np.ones(7))
+    path = WalkPath.from_gammas(np.ones(7), 1.0)
     # n=3, p=4 on the unit path: 3/7 + 3*(1/3 - 1/7) = 1 = X_3 by telescoping
     val = reconstruct_x_finite(path.log_zs[2:7], log_n_na(path, 7))
     assert np.exp(val) == pytest.approx(1.0, rel=1e-14)
