@@ -270,6 +270,9 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_verify(args):
+    # refused before the kernel checks run, not when dufresne reaches it
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
     # each check on its own parser: its defaults for what verify does not set
     point = [f"--lambda={args.lam!r}", f"--a={args.a!r}", f"--seed={args.seed}"]
     grid = [] if args.grid_points is None else [f"--grid-points={args.grid_points}"]

@@ -314,9 +314,10 @@ def _join_lane(pid: int, read: int) -> np.ndarray:
 
 
 def dufresne_test(lam: float, a: float, samples: int, seed: int,
-                  tail_tol: float = 1e-10, workers: int = 1,
+                  tail_tol: float = 1e-6, workers: int = 1,
                   alpha: float = 0.01) -> KsResult:
-    """KS of truncated perpetuity-series draws against inverse-gamma(lam, a^2/2)."""
+    """KS of truncated perpetuity-series draws against inverse-gamma(lam, a^2/2);
+    tail_tol is the eps = delta of walk.n_infinity_batch's stopping rule."""
     if lam <= 0.0:
         raise ValueError("the limit law requires lambda > 0")
     draws = _sharded(lambda c, r: n_infinity_batch(lam, a, c, r, tail_tol),
@@ -326,7 +327,7 @@ def dufresne_test(lam: float, a: float, samples: int, seed: int,
 
 
 def n_part_statistics(lam: float, a: float, checkpoints, samples: int,
-                      seed: int, tail_tol: float = 1e-10, workers: int = 1,
+                      seed: int, tail_tol: float = 1e-6, workers: int = 1,
                       alpha: float = 0.01) -> dict[int, KsResult]:
     """Two-sample KS of N_n against N_inf draws at several n, nested paths.
 

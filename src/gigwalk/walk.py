@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .gig import GigParams, Streams, gig_sample
 
@@ -260,17 +261,79 @@ def f_n(zs) -> float:
     return float(np.sum((z1 * z1 + z0 * z0 + 1.0) / (z1 * z0)))
 
 
+# relative allowance for the rounding of each kve ratio in the moment bound;
+# kve's relative error was at most 2.2e-14 against 40-digit mpmath at 400
+# random orders in [-5, 5] and arguments in [0.01, 900]
+_KVE_SLACK = 1e-12
+
+
+def _log_moment_bound(lam: float, a: float, s) -> np.ndarray:
+    """log M_s, with M_s >= E N_inf^s for 0 < s < lam, from GIG moments alone.
+
+    N_inf = sum_k t_k with t_k = gamma_k^-1 (gamma_0 .. gamma_{k-1})^-2, so
+    E t_k^s = E gamma^-s (E gamma^-2s)^k, E gamma^q = K_{lam+q}(a^2)/K_lam(a^2)
+    and E gamma^-2s < 1 exactly for 0 < s < lam.  For s <= 1,
+    (sum t_k)^s <= sum t_k^s gives M_s = E gamma^-s / (1 - E gamma^-2s); for
+    s > 1 Minkowski's inequality gives
+    M_s^(1/s) = (E gamma^-s)^(1/s) / (1 - (E gamma^-2s)^(1/s)).  Both
+    ratios are raised by _KVE_SLACK so that the rounding of kve cannot lower
+    the bound; +inf where the denominator is not positive.
+    """
+    s = np.asarray(s, dtype=float)
+    z = a * a
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        norm = special.kve(lam, z)
+        slack = 1.0 + _KVE_SLACK
+        log_m1 = np.log(special.kve(lam - s, z) / norm * slack)
+        m2 = special.kve(lam - 2.0 * s, z) / norm * slack
+        p = np.maximum(s, 1.0)
+        # 1 - m2^(1/p), without cancellation for m2 near 1
+        gap = -np.expm1(np.log(m2) / p)
+        return np.where(gap > 0.0, log_m1 - p * np.log(gap), np.inf)
+
+
+def _stop_level(lam: float, a: float, tail_tol: float) -> float:
+    """The stop level L = max_s [log eps + (log delta - log M_s) / s] of
+    n_infinity_batch, eps = delta = tail_tol, over 256 values of s evenly
+    spaced in (0, lam), in about 0.2 ms: within 0.03 of the maximum over
+    8192 values at 11 points with lam in [0.02, 5] and a in [0.1, 30]."""
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError(f"tail_tol must lie in (0, 1), got {tail_tol}")
+    s = lam * (np.arange(1, 257) / 257.0)
+    log_tol = math.log(tail_tol)
+    level = float(np.max(log_tol + (log_tol - _log_moment_bound(lam, a, s)) / s))
+    if not math.isfinite(level):
+        raise ValueError(f"no finite perpetuity stop level at lambda={lam}, "
+                         f"a={a}: K_lambda(a^2) leaves the double range")
+    return level
+
+
 def n_infinity_batch(lam: float, a: float, size: int, rng,
-                     tail_tol: float = 1e-10, window: int = 50,
+                     tail_tol: float = 1e-6,
                      max_terms: int = 10**6) -> np.ndarray:
     """Vectorized draws of N_inf = sum_k gamma_k^-1 (prod_{i<k} gamma_i^-1)^2.
 
     Requires lam > 0, where E[log gamma] > 0 and the series converges a.s.;
-    lam <= 0 raises ValueError before any draw.  A sample stops once the
-    squared prefix product has stayed below tail_tol times its partial sum
-    for `window` consecutive terms; the persistence requirement survives
-    downward excursions of the underlying log-gamma walk.  Exceeding
-    `max_terms` raises DivergenceError.
+    lam <= 0 raises ValueError before any draw.  Exceeding `max_terms`
+    raises DivergenceError.
+
+    Stopping rule.  After K terms N_inf = S_K + P_K N', with S_K the partial
+    sum, P_K = (gamma_0 .. gamma_{K-1})^-2 and N' a copy of N_inf
+    independent of the first K increments.  For 0 < s < lam Markov's
+    inequality gives
+
+        P(P_K N' > eps S_K | gamma_0 .. gamma_{K-1}) <= M_s (P_K / (eps S_K))^s
+
+    with M_s >= E N'^s from GIG moments alone (_log_moment_bound; never the
+    inverse-gamma law under test).  A draw stops at the first K with
+    log P_K - log S_K <= L, L = max_s [log eps + (log delta - log M_s) / s]
+    (_stop_level, once per call), where that bound is at most delta.  K is
+    a stopping time of the i.i.d. increments, so N' stays independent of
+    it: with probability at least 1 - delta the dropped tail is at most eps
+    times the returned sum S_K <= N_inf, and at every x the CDF of S_K
+    exceeds that of N_inf by at most delta + P(x < N_inf <= (1 + eps) x).
+    Here eps = delta = tail_tol, in (0, 1).  The test reads
+    -2 log X - log N <= L, in logs: e^L underflows for lam below about 0.02.
 
     Each term is one walk step at delta = 1 (_step), the partial sum being
     N and the squared prefix product exp(-2 log X).  The loop carries only
@@ -282,42 +345,39 @@ def n_infinity_batch(lam: float, a: float, size: int, rng,
     params = GigParams.symmetric(lam, a)
     if lam <= 0.0:
         raise ValueError(f"the perpetuity series requires lambda > 0, got {lam}")
+    level = _stop_level(lam, a, tail_tol)
     streams = live_streams = Streams.of(rng, size)
     out = np.empty(size)
     live = np.arange(size)
     # the live draws' state in the leading `k` slots of each work array
     total = np.zeros(size)
     log_x = np.zeros(size)
-    persist = np.zeros(size, dtype=np.int64)
     term = np.empty(size)
-    bound = np.empty(size)
-    small = np.empty(size, dtype=bool)
+    log_n = np.empty(size)
+    stop = np.empty(size, dtype=bool)
     k = size
     for _ in range(max_terms):
         if not k:
             return out
-        tot, lx, run = total[:k], log_x[:k], persist[:k]
-        tm, bd, sm = term[:k], bound[:k], small[:k]
+        tot, lx = total[:k], log_x[:k]
+        tm, ln, st = term[:k], log_n[:k], stop[:k]
         with np.errstate(over="ignore", under="ignore"):
             _step(params, 1.0, live_streams, lx, tot, tm)
             if not np.isfinite(tot).all():
                 raise DivergenceError(
                     "perpetuity series overflowed; "
                     "requires E[log gamma] > 0 (lambda > 0)")
-            # the squared prefix product X^-2 against the partial sum
+            # log P_K - log S_K against the stop level
             np.multiply(lx, -2.0, out=tm)
-            np.exp(tm, out=tm)
-            np.multiply(tot, tail_tol, out=bd)
-            np.less(tm, bd, out=sm)
-        run += 1
-        run *= sm
-        going = run < window
-        if not going.all():
-            out[live[~going]] = tot[~going]
-            keep = going.nonzero()[0]
+            np.log(tot, out=ln)
+            tm -= ln
+            np.less_equal(tm, level, out=st)
+        if st.any():
+            out[live[st]] = tot[st]
+            keep = (~st).nonzero()[0]
             live = live[keep]
             k = keep.size
-            total[:k], log_x[:k], persist[:k] = tot[keep], lx[keep], run[keep]
+            total[:k], log_x[:k] = tot[keep], lx[keep]
             live_streams = streams.kept(live)
     raise DivergenceError(
         f"perpetuity series still active after {max_terms} terms; "

@@ -335,11 +335,16 @@ def test_worker_count_never_changes_the_report(command, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
-def test_workers_below_one_exit_2(workers, capsys):
-    # reconstruct draws in one process and still refuses the value
-    for argv in (["dufresne", "--samples", "2000"], ["reconstruct"]):
+def test_workers_below_one_exit_2(workers, capsys, monkeypatch):
+    # reconstruct draws in one process and still refuses the value; verify
+    # refuses it before its first check
+    checked = []
+    monkeypatch.setattr(kernels, "intertwining_residuals",
+                        lambda *args: checked.append(args))
+    for argv in (["dufresne", "--samples", "2000"], ["reconstruct"], ["verify"]):
         assert run(argv + ["--seed", "3", "--workers", workers]) == 2
         assert "workers must be at least 1" in capsys.readouterr().err
+    assert not checked
 
 
 def test_workers_beyond_the_shards_fork_at_most_15_times(tmp_path, monkeypatch):
@@ -457,7 +462,9 @@ def test_fast_drifting_walk_converges(tmp_path):
 
 
 def test_sampler_stall_exits_2(capsys):
-    assert run(["dufresne", "--lambda", "2", "--a", "0.001", "--samples", "1000",
+    # draws at (2, 0.001) stop after about 2 terms: 1000 samples reach the
+    # stall only on some seeds, 20000 on every seed tried
+    assert run(["dufresne", "--lambda", "2", "--a", "0.001", "--samples", "20000",
                 "--workers", "1"]) == 2
     assert "10000 rounds" in capsys.readouterr().err
 

@@ -25,8 +25,8 @@ from gigwalk.stats import (donsker_check, dufresne_test, generator_drift_check,
 
 
 @pytest.mark.parametrize("args, pinned", [
-    ((1.0, 1.0, 2000, 11), "0.012765260490611136"),
-    ((2.0, 0.5, 777, 12), "0.02958712720045914"),
+    ((1.0, 1.0, 2000, 11), "0.012765254525473335"),
+    ((2.0, 0.5, 777, 12), "0.029587126902249128"),
     ((0.8, 1.2, 13, 18), "0.21614496494822294"),  # 13 draws: empty shards
 ])
 def test_dufresne_statistic(args, pinned):

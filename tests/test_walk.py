@@ -1,9 +1,10 @@
 import io
 from itertools import accumulate
+from math import lgamma
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gigwalk.walk
@@ -288,44 +289,64 @@ def test_batch_engine_marks():
     assert np.array_equal(out[:, 1], full[:, 2])
 
 
-def _n_infinity_gather_scatter(lam, a, size, rng, tail_tol=1e-10, window=50):
+def _n_infinity_gather_scatter(lam, a, size, rng, tail_tol=1e-6):
     """Oracle: the perpetuity loop that keeps every sample's state at full
     size and gathers and scatters the live ones through an index array."""
     params = GigParams.symmetric(lam, a)
+    level = gigwalk.walk._stop_level(lam, a, tail_tol)
     total = np.zeros(size)
     log_prefix = np.zeros(size)
-    persist = np.zeros(size, dtype=np.int64)
     active = np.arange(size)
     while active.size:
         log_g = np.log(gig_sample(params, rng, active.size))
         with np.errstate(over="ignore", under="ignore"):
             total[active] += np.exp(log_prefix[active] - log_g)
             log_prefix[active] -= 2.0 * log_g
-            small = np.exp(log_prefix[active]) < tail_tol * total[active]
-        persist[active] = np.where(small, persist[active] + 1, 0)
-        active = active[persist[active] < window]
+        active = active[log_prefix[active] - np.log(total[active]) > level]
     return total
 
 
 @settings(max_examples=25, deadline=None)
 @given(lam=st.floats(0.3, 3.0), a=st.floats(0.3, 3.0),
-       size=st.integers(1, 3000), window=st.integers(1, 60),
+       size=st.integers(1, 3000), log_tol=st.floats(-10.0, -3.0),
        seed=st.integers(0, 2**32 - 1))
-@example(lam=0.3, a=3.0, size=3000, window=60, seed=0)  # slowest corner
-def test_n_infinity_compacted_loop_matches_gather_scatter(lam, a, size, window,
+@example(lam=0.3, a=3.0, size=3000, log_tol=-10.0, seed=0)  # slowest corner
+def test_n_infinity_compacted_loop_matches_gather_scatter(lam, a, size, log_tol,
                                                           seed):
+    tail_tol = 10.0 ** log_tol
     draws = n_infinity_batch(lam, a, size, np.random.default_rng(seed),
-                             window=window)
+                             tail_tol=tail_tol)
     oracle = _n_infinity_gather_scatter(lam, a, size,
                                         np.random.default_rng(seed),
-                                        window=window)
+                                        tail_tol=tail_tol)
     assert np.array_equal(draws, oracle)
 
 
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(0.2, 5.0), a=st.floats(0.1, 30.0),
+       frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_perpetuity_moment_bound_holds(lam, a, frac):
+    # M_s against E N_inf^s of the inverse-gamma(lam, a^2/2) law of the
+    # Dufresne identity, a closed form the library never uses
+    s = lam * frac
+    assume(0.0 < s < lam)
+    exact = s * np.log(a * a / 2.0) + lgamma(lam - s) - lgamma(lam)
+    assert gigwalk.walk._log_moment_bound(lam, a, s) >= exact
+    levels = [gigwalk.walk._stop_level(lam, a, tol)
+              for tol in (1e-10, 1e-6, 1e-3)]
+    assert np.isfinite(levels).all()
+    assert levels[0] < levels[1] < levels[2]
+
+
+def test_n_infinity_rejects_tail_tol_outside_unit_interval():
+    for tol in (0.0, -1e-6, 1.0, np.nan):
+        with pytest.raises(ValueError, match="tail_tol"):
+            n_infinity_batch(1.0, 1.0, 10, np.random.default_rng(SEED),
+                             tail_tol=tol)
+
+
 def test_n_infinity_nonpositive_shape_is_rejected(monkeypatch):
-    # lambda <= 0: the series diverges a.s., so no draw may be returned; at
-    # lambda = 0 a downward excursion of the driftless walk can outlast the
-    # window, and the stopping rule alone would return finite values
+    # lambda <= 0: the series diverges a.s., so no draw may be returned
     monkeypatch.setattr(gigwalk.walk, "gig_sample", None)  # nothing is drawn
     for lam in (-0.3, 0.0):
         with pytest.raises(ValueError, match="lambda > 0"):
