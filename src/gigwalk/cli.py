@@ -214,9 +214,7 @@ def _cmd_moments(args):
 def _cmd_reconstruct(args):
     if args.samples < 1:
         raise ValueError(f"samples must be at least 1, got {args.samples}")
-    # one process draws every path: --workers is only checked, as elsewhere
-    if args.workers < 1:
-        raise ValueError(f"workers must be at least 1, got {args.workers}")
+    # one process draws every path: main only checks --workers, as elsewhere
     rng = np.random.default_rng(args.seed)
     horizon = max(args.steps, 4)
     params = GigParams.symmetric(args.lam, args.a)
@@ -270,9 +268,6 @@ def _cmd_reconstruct(args):
 
 
 def _cmd_verify(args):
-    # refused before the kernel checks run, not when dufresne reaches it
-    if args.workers < 1:
-        raise ValueError(f"workers must be at least 1, got {args.workers}")
     # each check on its own parser: its defaults for what verify does not set
     point = [f"--lambda={args.lam!r}", f"--a={args.a!r}", f"--seed={args.seed}"]
     grid = [] if args.grid_points is None else [f"--grid-points={args.grid_points}"]
@@ -384,6 +379,9 @@ def main(argv=None) -> int:
             print("error: GIGWALK_SEED must be an integer", file=sys.stderr)
             return 2
     try:
+        # refused before any check runs, also where one process does the work
+        if "workers" in vars(args) and args.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {args.workers}")
         records, ok = _SUBCOMMANDS[args.command][0](args)
     # RuntimeError covers walk.DivergenceError,
     # stats.InsufficientConditioningError and a Monte Carlo lane that died

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .specfun import log_bessel_k
+from .specfun import _unwrap, log_bessel_k
 
 __all__ = [
     "GigParams",
@@ -87,6 +87,7 @@ def spawn_rngs(seed: int, n: int) -> list:
 
 
 def _check_positive(x, name="x"):
+    """x as a float array, or ValueError naming it unless every entry is > 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError(f"{name} must be positive")
@@ -97,17 +98,12 @@ def gig_logpdf(params: GigParams, x):
     x = _check_positive(x)
     lam, a, b = params.lam, params.a, params.b
     lognorm = lam * (np.log(b) - np.log(a)) - np.log(2.0) - log_bessel_k(lam, a * b)
-    out = lognorm + (lam - 1.0) * np.log(x) - 0.5 * (a * a / x + b * b * x)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _unwrap(lognorm + (lam - 1.0) * np.log(x)
+                   - 0.5 * (a * a / x + b * b * x))
 
 
 def gig_pdf(params: GigParams, x):
-    out = np.exp(gig_logpdf(params, x))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _unwrap(np.exp(gig_logpdf(params, x)))
 
 
 def gig_scale(params: GigParams, c: float) -> GigParams:
@@ -160,6 +156,13 @@ class Streams:
     def size(self) -> int:
         return sum(self.counts)
 
+    @property
+    def edges(self) -> np.ndarray:
+        """Segment i of a batch runs from edges[i] to edges[i + 1]."""
+        if self._edges is None:  # kept reads it once a rejection round
+            self._edges = np.cumsum([0] + self.counts)
+        return self._edges
+
     @classmethod
     def _trusted(cls, rngs: tuple, counts: list) -> "Streams":
         """A Streams of counts already known to be valid, built unchecked."""
@@ -172,9 +175,7 @@ class Streams:
         still pending), each kept position staying with its generator."""
         if len(self.rngs) == 1:
             return Streams._trusted(self.rngs, [len(index)])
-        if self._edges is None:  # kept is called once a rejection round
-            self._edges = np.cumsum([0] + self.counts)
-        ends = np.searchsorted(index, self._edges)
+        ends = np.searchsorted(index, self.edges)
         return Streams._trusted(self.rngs, (ends[1:] - ends[:-1]).tolist())
 
     def standard_normal(self, out: np.ndarray) -> None:
@@ -268,18 +269,17 @@ def _sample_log_symmetric(lam: float, c: float, streams: Streams,
         f"acceptance per round is too low at these parameters")
 
 
-def gig_sample(params: GigParams, rng, size=None):
-    """Exact GIG draws from a Generator, or from a Streams of `size` draws.
+def gig_sample(params: GigParams, rng, size: int) -> np.ndarray:
+    """`size` exact GIG draws from a Generator, or from a Streams of `size`
+    draws.
 
     The asymmetric case reduces to the symmetric one through the scaling
     property: X = (a/b) U with U ~ GIG(lambda, sqrt(ab), sqrt(ab)).
     """
-    n = 1 if size is None else int(size)
+    n = int(size)
     x = _sample_log_symmetric(params.lam, params.ab, Streams.of(rng, n), n)
     np.exp(x, out=x)
     x *= params.a / params.b
-    if size is None:
-        return float(x[0])
     return x
 
 
@@ -301,10 +301,7 @@ def gig_cdf(params: GigParams, x):
     integ = gig_pdf(params, pts) * pts  # d(cdf)/du
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (integ[1:] + integ[:-1]) * du)))
     cum /= cum[-1]
-    out = np.interp(np.log(x), u, cum)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _unwrap(np.interp(np.log(x), u, cum))
 
 
 def gig_log_moment_numeric(params: GigParams, m: int) -> float:
@@ -369,17 +366,20 @@ def gig_log_moment_asymptotic(lam: float, a: float, m: int) -> float:
                  / (a ** (m + 1) * np.sqrt(np.pi)))
 
 
+def _inverse_gamma_terms(params: InvGammaParams, x):
+    """The x-dependent terms of the log-density, the power term
+    -(shape + 1) log x and the scale term -scale / x, in the precision of x."""
+    return -(params.shape + 1.0) * np.log(x), -params.scale / x
+
+
 def _inverse_gamma_logpdf(params: InvGammaParams, x):
-    x = _check_positive(x)
-    sh, sc = params.shape, params.scale
-    return sh * np.log(sc) - special.gammaln(sh) - (sh + 1.0) * np.log(x) - sc / x
+    power, scale = _inverse_gamma_terms(params, _check_positive(x))
+    sh = params.shape
+    return sh * np.log(params.scale) - special.gammaln(sh) + power + scale
 
 
 def inverse_gamma_pdf(params: InvGammaParams, x):
-    out = np.exp(_inverse_gamma_logpdf(params, x))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _unwrap(np.exp(_inverse_gamma_logpdf(params, x)))
 
 
 def inverse_gamma_cdf(params: InvGammaParams, x):
@@ -389,19 +389,12 @@ def inverse_gamma_cdf(params: InvGammaParams, x):
         raise ValueError("x must be nonnegative")
     with np.errstate(divide="ignore"):
         out = special.gammaincc(params.shape, params.scale / x)
-    out = np.where(x == 0.0, 0.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _unwrap(np.where(x == 0.0, 0.0, out))
 
 
-def inverse_gamma_sample(params: InvGammaParams, rng, size=None):
-    """X = scale / G with G ~ Gamma(shape, 1)."""
-    g = rng.gamma(params.shape, 1.0, size)
-    out = params.scale / g
-    if size is None:
-        return float(out)
-    return out
+def inverse_gamma_sample(params: InvGammaParams, rng, size: int) -> np.ndarray:
+    """`size` draws X = scale / G with G ~ Gamma(shape, 1)."""
+    return params.scale / rng.gamma(params.shape, 1.0, size)
 
 
 def inverse_gamma_mean(params: InvGammaParams) -> float:

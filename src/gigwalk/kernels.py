@@ -62,10 +62,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import gammainccinv, gammaincinv, gammaln
+from scipy.special import gammainccinv, gammaincinv
 
-from .gig import InvGammaParams
-from .specfun import log_bessel_k
+from .gig import (InvGammaParams, _check_positive, _inverse_gamma_logpdf,
+                  _inverse_gamma_terms)
+from .specfun import _unwrap, log_bessel_k
 
 __all__ = [
     "GridCoverageError",
@@ -188,19 +189,9 @@ def default_grid() -> LogGrid:
     return _DEFAULT_GRID
 
 
-def _pos(x, name):
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError(f"{name} must be positive")
-    return x
-
-
 def _as_out(logv):
     with np.errstate(over="ignore"):
-        out = np.exp(logv)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+        return _unwrap(np.exp(logv))
 
 
 def _q_logpdf(lam: float, a: float, x, y, bessel_y):
@@ -215,7 +206,7 @@ def _q_logpdf(lam: float, a: float, x, y, bessel_y):
 def q_density(lam: float, a: float, x, y):
     """Z-chain kernel: (2K_lam(a^2))^-1 K_lam(a^2/y)/K_lam(a^2/x) y^-1
     exp(-a^2 (x^2+y^2+1)/(2xy))."""
-    x, y = _pos(x, "x"), _pos(y, "y")
+    x, y = _check_positive(x, "x"), _check_positive(y, "y")
     return _as_out(_q_logpdf(lam, a, x, y, log_bessel_k(lam, a * a / y)))
 
 
@@ -225,7 +216,7 @@ def p_density(lam: float, a: float, x, y):
     Identical to the GIG(lam, a, a) density scaled by x, i.e. the law of
     x * gamma.
     """
-    x, y = _pos(x, "x"), _pos(y, "y")
+    x, y = _check_positive(x, "x"), _check_positive(y, "y")
     a2 = a * a
     logv = (-np.log(2.0) - log_bessel_k(lam, a2)
             + (lam - 1.0) * np.log(y) - lam * np.log(x)
@@ -235,7 +226,7 @@ def p_density(lam: float, a: float, x, y):
 
 def lambda_density(lam: float, a: float, z, x):
     """Link kernel (X given Z = z): the GIG(lam, a/sqrt(z), a/sqrt(z)) density."""
-    z, x = _pos(z, "z"), _pos(x, "x")
+    z, x = _check_positive(z, "z"), _check_positive(x, "x")
     a2 = a * a
     logv = (-np.log(2.0) - log_bessel_k(lam, a2 / z)
             + (lam - 1.0) * np.log(x) - 0.5 * (a2 / z) * (x + 1.0 / x))
@@ -253,7 +244,7 @@ def _ktilde_terms(lam: float, a: float, x, y):
 
 
 def _ktilde_logpdf(lam: float, a: float, x, y):
-    x, y = _pos(x, "x"), _pos(y, "y")
+    x, y = _check_positive(x, "x"), _check_positive(y, "y")
     log_s, power, scale = _ktilde_terms(lam, a, x, y)
     return -np.log(2.0) - log_bessel_k(lam, a * a) - log_s + power + scale
 
@@ -265,25 +256,16 @@ def ktilde_density(lam: float, a: float, x, y):
     return _as_out(_ktilde_logpdf(lam, a, x, y))
 
 
-def _pi_terms(lam: float, a: float, x):
-    """The x-dependent terms of log pi: the power term -(lam + 1) log x and
-    the scale term -(a^2/2) / x, in the precision of x."""
-    return -(lam + 1.0) * np.log(x), -(a * a / 2.0) / x
-
-
-def _pi_logpdf(lam: float, a: float, x):
-    """Inverse-gamma(lam, a^2/2) log-density, summed in the order of
-    gig._inverse_gamma_logpdf."""
+def _pi_law(lam: float, a: float) -> InvGammaParams:
+    """pi = inverse-gamma(lam, a^2/2); ValueError unless lam > 0 and a != 0."""
     if lam <= 0.0:
         raise ValueError("stationary law requires lambda > 0")
-    beta = InvGammaParams(lam, a * a / 2.0).scale  # rejects a = 0
-    power, scale = _pi_terms(lam, a, _pos(x, "x"))
-    return lam * np.log(beta) - gammaln(lam) + power + scale
+    return InvGammaParams(lam, a * a / 2.0)
 
 
 def pi_density(lam: float, a: float, x):
     """Stationary density of the AN-part chain: inverse-gamma(lam, a^2/2)."""
-    return _as_out(_pi_logpdf(lam, a, x))
+    return _as_out(_inverse_gamma_logpdf(_pi_law(lam, a), x))
 
 
 # largest kernel block evaluated at once: 2**14 doubles, 128 KiB.  The
@@ -516,7 +498,7 @@ def intertwining_residuals(lam: float, a: float, zs,
     not log-uniform.
     """
     zs = list(zs)
-    _pos(zs, "z")
+    _check_positive(zs, "z")
     grid = grid or LogGrid.make(step=_step_for(max(
         (_intertwining_curvature(lam, a, z) for z in zs), default=0.0)))
     pts, w = grid.points, grid.weights
@@ -553,7 +535,7 @@ def _pi_grid(lam: float, a: float) -> LogGrid:
     raised when that leaves the double range (lam below about 0.09, where
     the x^(-lam-1) tail reaches past 1e154): such a grid cannot hold the law.
     """
-    beta = InvGammaParams(lam, 0.5 * a * a).scale  # rejects a = 0
+    beta = _pi_law(lam, a).scale
     lo = beta / gammainccinv(lam, PI_TAIL)
     q = gammaincinv(lam, PI_TAIL)
     log_hi = np.log(beta) - np.log(q) if q > 0.0 else np.inf
@@ -581,9 +563,7 @@ def check_stationarity(lam: float, a: float,
     log-uniform grid x_i y_j depends only on i + j.  Raises ValueError when
     lambda <= 0 or the grid is not log-uniform.
     """
-    if lam <= 0.0:
-        raise ValueError("stationarity check requires lambda > 0")
-    grid = grid or _pi_grid(lam, a)
+    grid = grid or _pi_grid(lam, a)  # _pi_grid and pi_density refuse lam <= 0
     pts, w = grid.points, grid.weights
     lead = w * np.asarray(pi_density(lam, a, pts))
     with np.errstate(over="ignore"):
@@ -593,7 +573,8 @@ def check_stationarity(lam: float, a: float,
 
 def check_detailed_balance(lam: float, a: float, pairs) -> float:
     """Max |pi(x) ktilde(x,y) / (pi(y) ktilde(y,x)) - 1| over the given pairs,
-    formed from the terms of the two log-densities (_pi_terms, _ktilde_terms).
+    formed from the terms of the two log-densities (gig._inverse_gamma_terms,
+    _ktilde_terms).
 
     The normalizers appear once with each sign, so they are left out, not
     summed; that is the only cancellation taken on trust.  The power,
@@ -602,14 +583,12 @@ def check_detailed_balance(lam: float, a: float, pairs) -> float:
     and in float64 their sum kept rounding of order a^2 eps / x, 1.8e-12 at
     a = 30.  Where longdouble is no wider than float64 that rounding returns.
     """
-    if lam <= 0.0:
-        raise ValueError("stationary law requires lambda > 0")
-    InvGammaParams(lam, a * a / 2.0)  # rejects a = 0
+    pi = _pi_law(lam, a)
     pairs = np.asarray(pairs, dtype=float)
-    x = _pos(pairs[:, 0], "x").astype(np.longdouble)
-    y = _pos(pairs[:, 1], "y").astype(np.longdouble)
-    pi_pow_x, pi_scale_x = _pi_terms(lam, a, x)
-    pi_pow_y, pi_scale_y = _pi_terms(lam, a, y)
+    x = _check_positive(pairs[:, 0], "x").astype(np.longdouble)
+    y = _check_positive(pairs[:, 1], "y").astype(np.longdouble)
+    pi_pow_x, pi_scale_x = _inverse_gamma_terms(pi, x)
+    pi_pow_y, pi_scale_y = _inverse_gamma_terms(pi, y)
     log_s_xy, k_pow_xy, k_scale_xy = _ktilde_terms(lam, a, x, y)
     log_s_yx, k_pow_yx, k_scale_yx = _ktilde_terms(lam, a, y, x)
     log_ratio = ((pi_pow_x - pi_pow_y + k_pow_xy - k_pow_yx - log_s_xy + log_s_yx)
@@ -654,10 +633,7 @@ def _on_grid(unnorm, grid: LogGrid):
 def _conditional(unnorm, x, grid: LogGrid | None):
     """unnorm at x, normalized by its integral over the grid."""
     _, norm = _on_grid(unnorm, grid or default_grid())
-    out = unnorm(x) / norm
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+    return _unwrap(unnorm(x) / norm)
 
 
 def conditional_x2_given_z2(f, z: float, x, grid: LogGrid | None = None):
@@ -667,7 +643,7 @@ def conditional_x2_given_z2(f, z: float, x, grid: LogGrid | None = None):
 
     normalized by quadrature over the grid.
     """
-    x = _pos(x, "x")
+    x = _check_positive(x, "x")
     return _conditional(_x2_unnorm(f, z), x, grid)
 
 
@@ -679,7 +655,7 @@ def conditional_x3_given_z3_z2(f, z: float, u: float, x,
 
     normalized by quadrature over the grid.
     """
-    x = _pos(x, "x")
+    x = _check_positive(x, "x")
     return _conditional(_x3_unnorm(f, z, u), x, grid)
 
 

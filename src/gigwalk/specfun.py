@@ -20,6 +20,13 @@ __all__ = ["bessel_k", "log_bessel_k"]
 _LOG_HALF = -np.log(2.0)
 
 
+def _unwrap(out):
+    """`out` as a Python float when it holds one value as a 0-d array or
+    numpy scalar, else the array itself: the return convention of every
+    elementwise function of the package."""
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def _validate_positive(z, name):
     z = np.asarray(z, dtype=float)
     if np.any(z <= 0.0) or np.any(~np.isfinite(z)):
@@ -45,9 +52,7 @@ def log_bessel_k(order, argument):
         nub, zb = nu[bad], z[bad]
         out = np.array(out)
         out[bad] = _LOG_HALF + special.gammaln(nub) - nub * np.log(zb / 2.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _unwrap(out)
 
 
 def bessel_k(order, argument):
@@ -62,6 +67,4 @@ def bessel_k(order, argument):
         out = np.exp(logk)
     if np.any(np.isinf(out)):
         warnings.warn("bessel_k overflow: returning +inf marker", RuntimeWarning)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _unwrap(out)

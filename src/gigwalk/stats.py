@@ -74,6 +74,11 @@ GROUP_ELEMENTS = 20000
 LANE_FLOOR = 4000
 # Euler steps whose Gaussians one generator call fills (see _euler_blocks)
 EULER_BLOCK_STEPS = 8
+# level of every KS gate (KsResult.critical_1pct)
+KS_LEVEL = 0.01
+# most two-sample KS distance scaling_limit_test passes: the limit theorem
+# carries no rate, so no asymptotic critical value applies
+SCALING_KS_BOUND = 0.02
 
 
 class InsufficientConditioningError(RuntimeError):
@@ -90,7 +95,9 @@ class KsResult:
 
 
 def kolmogorov_critical(alpha: float, n: int, m: int | None = None) -> float:
-    """Asymptotic Kolmogorov critical value, scaled for one or two samples."""
+    """Asymptotic Kolmogorov critical value at level alpha, scaled for one or
+    two samples.  Every KS gate of this module is at KS_LEVEL = 1%; this
+    gives the critical value at any other level."""
     c = float(special.kolmogi(alpha))
     if m is None:
         return c / np.sqrt(n)
@@ -107,8 +114,9 @@ def _values(sample) -> np.ndarray:
     return xs
 
 
-def ks_one_sample(sample, cdf, alpha: float = 0.01) -> KsResult:
-    """Exact sup distance between the empirical CDF and a model CDF."""
+def ks_one_sample(sample, cdf) -> KsResult:
+    """Exact sup distance between the empirical CDF and a model CDF, gated
+    at the 1% level."""
     xs = _values(sample)
     n = xs.size
     f = np.asarray(cdf(xs), dtype=float)
@@ -116,18 +124,19 @@ def ks_one_sample(sample, cdf, alpha: float = 0.01) -> KsResult:
         raise ValueError("cdf is not monotone on the sample range")
     i = np.arange(n)
     stat = float(max(np.max(f - i / n), np.max((i + 1) / n - f)))
-    crit = kolmogorov_critical(alpha, n)
+    crit = kolmogorov_critical(KS_LEVEL, n)
     return KsResult(stat, n, None, crit, stat < crit)
 
 
-def ks_two_sample(sample1, sample2, alpha: float = 0.01) -> KsResult:
+def ks_two_sample(sample1, sample2) -> KsResult:
+    """Sup distance between two empirical CDFs, gated at the 1% level."""
     xs, ys = _values(sample1), _values(sample2)
     pooled = np.concatenate([xs, ys])
     pooled.sort()
     fx = np.searchsorted(xs, pooled, side="right") / xs.size
     fy = np.searchsorted(ys, pooled, side="right") / ys.size
     stat = float(np.max(np.abs(fx - fy)))
-    crit = kolmogorov_critical(alpha, xs.size, ys.size)
+    crit = kolmogorov_critical(KS_LEVEL, xs.size, ys.size)
     return KsResult(stat, xs.size, ys.size, crit, stat < crit)
 
 
@@ -314,22 +323,22 @@ def _join_lane(pid: int, read: int) -> np.ndarray:
 
 
 def dufresne_test(lam: float, a: float, samples: int, seed: int,
-                  tail_tol: float = 1e-6, workers: int = 1,
-                  alpha: float = 0.01) -> KsResult:
-    """KS of truncated perpetuity-series draws against inverse-gamma(lam, a^2/2);
-    tail_tol is the eps = delta of walk.n_infinity_batch's stopping rule."""
+                  tail_tol: float = 1e-6, workers: int = 1) -> KsResult:
+    """KS at the 1% level of truncated perpetuity-series draws against
+    inverse-gamma(lam, a^2/2); tail_tol is the eps = delta of
+    walk.n_infinity_batch's stopping rule."""
     if lam <= 0.0:
         raise ValueError("the limit law requires lambda > 0")
     draws = _sharded(lambda c, r: n_infinity_batch(lam, a, c, r, tail_tol),
                      samples, seed, workers)
     target = InvGammaParams(lam, a * a / 2.0)
-    return ks_one_sample(draws, lambda x: inverse_gamma_cdf(target, x), alpha)
+    return ks_one_sample(draws, lambda x: inverse_gamma_cdf(target, x))
 
 
 def n_part_statistics(lam: float, a: float, checkpoints, samples: int,
-                      seed: int, tail_tol: float = 1e-6, workers: int = 1,
-                      alpha: float = 0.01) -> dict[int, KsResult]:
-    """Two-sample KS of N_n against N_inf draws at several n, nested paths.
+                      seed: int, workers: int = 1) -> dict[int, KsResult]:
+    """Two-sample KS at the 1% level of N_n against N_inf draws at several
+    n, nested paths.
 
     All checkpoints observe the same trajectories and share one reference
     N_inf sample, so statistics are comparable across n: since the path's
@@ -344,23 +353,32 @@ def n_part_statistics(lam: float, a: float, checkpoints, samples: int,
     table = _sharded(lambda c, r: simulate_batch(params, 1.0, c, r, marks)[1],
                      samples, seed, workers)
     ref_seed = int(np.random.SeedSequence(seed).generate_state(2)[1])
-    reference = _sharded(lambda c, r: n_infinity_batch(lam, a, c, r, tail_tol),
+    reference = _sharded(lambda c, r: n_infinity_batch(lam, a, c, r),
                          samples, ref_seed, workers)
-    return {m: ks_two_sample(table[i], reference, alpha)
-            for i, m in enumerate(marks)}
+    return {m: ks_two_sample(table[i], reference) for i, m in enumerate(marks)}
+
+
+def _walk_steps(n: int, t: float) -> int:
+    """floor(n t), the steps of the walk at delta = 1/n up to time t;
+    ValueError when it never steps."""
+    m = int(np.floor(n * t))
+    if m < 1:
+        raise ValueError(f"floor(n*t) = {m} at n={n}, t={t}: the walk takes "
+                         "no step, so there is nothing to test")
+    return m
 
 
 def donsker_check(lam: float, n: int, t: float, samples: int, seed: int,
-                  workers: int = 1, alpha: float = 0.01) -> KsResult:
-    """KS of sum_{j < floor(nt)} log gamma_j^(sqrt n) against Normal(lam*t, t)."""
+                  workers: int = 1) -> KsResult:
+    """KS at the 1% level of sum_{j < floor(nt)} log gamma_j^(sqrt n) against
+    Normal(lam*t, t); ValueError when floor(nt) = 0, a walk that never steps."""
     params = GigParams.symmetric(lam, np.sqrt(n))
-    m = int(np.floor(n * t))
+    m = _walk_steps(n, t)
     # the walk's log X row is the sum of log increments
     draws = _sharded(lambda c, r: simulate_batch(params, 1.0, c, r, [m])[0, 0],
                      samples, seed, workers)
     sd = np.sqrt(t)
-    return ks_one_sample(draws, lambda x: special.ndtr((x - lam * t) / sd),
-                         alpha)
+    return ks_one_sample(draws, lambda x: special.ndtr((x - lam * t) / sd))
 
 
 @dataclass(frozen=True)
@@ -370,7 +388,6 @@ class BrownianConfig:
     drift: float
     t: float
     dt: float
-    seed: int = 0
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.drift, self.t, self.dt))):
@@ -434,7 +451,7 @@ def _euler_blocks(config: BrownianConfig, streams: Streams, b: np.ndarray,
     steps, dt = config.steps, config.dt
     sdt = np.sqrt(dt)
     drift_dt = config.drift * dt
-    edges = np.cumsum([0] + streams.counts).tolist()
+    edges = streams.edges.tolist()
     segs = [(rng, lo, hi) for rng, lo, hi
             in zip(streams.rngs, edges[:-1], edges[1:]) if hi > lo]
     widest = max((hi - lo for _, lo, hi in segs), default=0)
@@ -480,16 +497,16 @@ class ScalingLimitResult:
 
 
 def scaling_limit_test(lam: float, n: int, t: float, samples: int, dt: float,
-                       seed: int, workers: int = 1,
-                       threshold: float = 0.02) -> ScalingLimitResult:
+                       seed: int, workers: int = 1) -> ScalingLimitResult:
     """Two-sample KS between Z_{floor(nt)} of the walk at delta = 1/n with
     GIG(lam, sqrt n, sqrt n) increments and the Brownian-functional simulator.
 
     The limit theorem carries no rate, so the pass criterion is the fixed
-    engineering threshold on the statistic (0.02 by default), not an
-    asymptotic critical value.
+    engineering bound SCALING_KS_BOUND = 0.02 on the statistic, not an
+    asymptotic critical value.  ValueError when floor(nt) = 0, a walk that
+    never steps.
     """
-    m = int(np.floor(n * t))
+    m = _walk_steps(n, t)
     params = GigParams.symmetric(lam, np.sqrt(n))
     delta = 1.0 / n
 
@@ -503,7 +520,8 @@ def scaling_limit_test(lam: float, n: int, t: float, samples: int, dt: float,
     cont_z = _sharded(lambda c, r: simulate_my_continuous(config, r, c),
                       samples, int(seeds[1]), workers)
     ks = ks_two_sample(walk_z, cont_z)
-    return ScalingLimitResult(ks, threshold, bool(ks.statistic < threshold))
+    return ScalingLimitResult(ks, SCALING_KS_BOUND,
+                              bool(ks.statistic < SCALING_KS_BOUND))
 
 
 @dataclass(frozen=True)
@@ -524,13 +542,12 @@ class GeneratorDriftResult:
 
 
 def generator_drift_check(lam: float, z: float, n: int, samples: int,
-                          seed: int, eps_frac: float = 0.05,
-                          workers: int = 1,
+                          seed: int, workers: int = 1,
                           min_hits: int = 1000) -> GeneratorDriftResult:
     """Empirical drift and diffusion of the scaled Z chain near level z.
 
     Runs the walk at delta = 1/n, a = sqrt(n); after burn-in n/2 every step
-    with Z inside (z +- eps_frac*z) contributes its increment, pooled over
+    with Z inside (z +- 0.05 z) contributes its increment, pooled over
     paths and steps.  n * mean and n * variance of the pooled increments
     estimate the generator coefficients; `samples` is the target pooled count
     of post-burn-in steps.
@@ -539,14 +556,14 @@ def generator_drift_check(lam: float, z: float, n: int, samples: int,
     delta = 1.0 / n
     burn = n // 2
     paths_total = max(SHARDS, int(np.ceil(samples / max(n - burn, 1))))
-    eps = eps_frac * z
+    eps = 0.05 * z
 
     def accumulate(count, streams):
         log_x, n_na = simulate_batch(params, delta, count, streams,
                                      range(burn, n + 1))
         zz = n_na * np.exp(log_x)  # Z_burn .. Z_n
         sums = []
-        edges = np.cumsum([0] + streams.counts)
+        edges = streams.edges
         for lo, hi in zip(edges[:-1], edges[1:]):  # one column per shard
             zs = zz[:, lo:hi]
             dz = np.diff(zs, axis=0)[np.abs(zs[:-1] - z) < eps]
@@ -558,7 +575,7 @@ def generator_drift_check(lam: float, z: float, n: int, samples: int,
     if hits < min_hits:
         raise InsufficientConditioningError(
             f"only {hits} steps fell in the window around z={z}; "
-            "increase samples or widen eps_frac")
+            "increase samples")
     mean = table[1].sum() / hits
     var = table[2].sum() / hits - mean * mean
     drift_ref, diff_ref = my_generator_coefficients(lam, z)
@@ -649,18 +666,20 @@ def _dcor_unbiased(dxy: float, dxx: float, dyy: float) -> float:
 
 def z_independence_check(lam: float, a: float, n: int, samples: int,
                          seed: int, statistic: str = "n_na",
-                         workers: int = 1,
-                         dcor_subsample: int = 2000) -> ZIndependenceResult:
+                         workers: int = 1) -> ZIndependenceResult:
     """Correlation of the early Z coordinates with the (near-)limiting NA-part.
 
     statistic="n_na" uses N_n = Z_n/X_n as the N_inf proxy, which should be
     uncorrelated with every Z_k; statistic="log_x" substitutes log X_n, the
     deliberate-fault control that keeps a visible dependence on the early
     increments (raw X_n would not: its correlation is washed out by the
-    exploding variance of the product).
+    exploding variance of the product).  The distance correlation needs
+    blocks of at least 4 samples, so fewer raise ValueError.
     """
     if lam <= 0.0:
         raise ValueError("requires lambda > 0")
+    if samples < 4:
+        raise ValueError(f"samples must be at least 4, got {samples}")
     if statistic not in ("n_na", "log_x"):
         raise ValueError("statistic must be 'n_na' or 'log_x'")
     z_marks = [2, 3, 4, 5, 6]
@@ -677,11 +696,9 @@ def z_independence_check(lam: float, a: float, n: int, samples: int,
         return float((um @ vm) / np.sqrt((um @ um) * (vm @ vm)))
 
     correlations = {f"Z{m}": corr(zs[m], target) for m in z_marks}
-    # pooled over every disjoint block of dcor_subsample samples: one block
-    # of 2000 read above 0.02 under the null, or below it on the control,
-    # on chance alone
-    sub = min(dcor_subsample, samples)
-    dcor = _dcor_unbiased(*_dcov_sums(zs[2], target, sub))
+    # pooled over every disjoint block of 2000 samples: one block read
+    # above 0.02 under the null, or below it on the control, on chance alone
+    dcor = _dcor_unbiased(*_dcov_sums(zs[2], target, min(2000, samples)))
     max_abs = max(abs(v) for v in correlations.values())
     return ZIndependenceResult(correlations, max_abs, 3.0 / np.sqrt(samples),
                                dcor, statistic)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .gig import GigParams, Streams, gig_sample
+from .gig import GigParams, Streams, _unwrap, gig_sample
 
 __all__ = [
     "DivergenceError",
@@ -420,8 +420,7 @@ def reconstruct_x_finite(log_zs, log_n_future):
     same p, with one `log_n_future` a row; each row's value, returned as an
     array, is the one its row gives alone, bit for bit.
     """
-    out = _log_x_hat(log_zs, log_n_future)
-    return float(out) if out.ndim == 0 else out
+    return _unwrap(_log_x_hat(log_zs, log_n_future))
 
 
 def reconstruct_x_limit(log_zs_tail, log_n_inf=None, tol: float = 1e-6) -> float:

@@ -9,7 +9,7 @@ from scipy import optimize
 from scipy import stats as spstats
 from scipy.special import gammainc, gammaincc
 
-from gigwalk import kernels
+from gigwalk import gig, kernels
 from gigwalk.gig import GigParams, gig_pdf, gig_sample, gig_scale
 from gigwalk.kernels import (LOG_STEP, PI_TAIL, GridCoverageError, LogGrid,
                              _apply_kernel, _apply_p, _density_rows,
@@ -179,8 +179,9 @@ def _faulty_ktilde_terms(fault):
     return terms
 
 
-def _faulty_pi_terms(lam, a, x):
-    return -(lam + 1.0) * np.log(x), -(a * a) / x  # scale a^2, not a^2/2
+def _faulty_pi_terms(params, x):
+    # scale a^2, not a^2/2
+    return -(params.shape + 1.0) * np.log(x), -(2.0 * params.scale) / x
 
 
 @pytest.mark.parametrize("fault", ["exponent", "scaled root", "half root",
@@ -190,7 +191,9 @@ def test_detailed_balance_fails_on_a_faulty_kernel(fault, monkeypatch):
     # fault in either density must show at every a, large a included
     correct = pi_density(1.0, 1.0, 0.7) * ktilde_density(1.0, 1.0, 0.7, 1.3)
     if fault == "pi scale":
-        monkeypatch.setattr(kernels, "_pi_terms", _faulty_pi_terms)
+        # pi_density reads gig's binding, check_detailed_balance kernels'
+        monkeypatch.setattr(gig, "_inverse_gamma_terms", _faulty_pi_terms)
+        monkeypatch.setattr(kernels, "_inverse_gamma_terms", _faulty_pi_terms)
     else:
         monkeypatch.setattr(kernels, "_ktilde_terms", _faulty_ktilde_terms(fault))
     assert pi_density(1.0, 1.0, 0.7) * ktilde_density(1.0, 1.0, 0.7, 1.3) != correct

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+from gigwalk import kernels
+from gigwalk.gig import (GigParams, InvGammaParams, gig_logpdf, gig_pdf,
+                         inverse_gamma_cdf, inverse_gamma_pdf)
 from gigwalk.kernels import LogGrid
 from gigwalk.specfun import bessel_k, log_bessel_k
+from gigwalk.walk import reconstruct_x_finite
 from specfun_oracles import (AsymptoticSeries, bessel_k_quadrature,
                              bessel_k_small_z, log_bessel_k_quadrature,
                              log_gamma, watson_partial_sum)
@@ -132,3 +138,59 @@ def test_watson_terms_bounds():
         watson_partial_sum(s, 10.0, 3)
     with pytest.raises(ValueError):
         watson_partial_sum(s, -1.0, 1)
+
+
+_COARSE = LogGrid.make(n=200)
+
+# the public elementwise functions that return a float for one value and an
+# array otherwise, as functions of (lam in [-3, 3], a, x)
+ELEMENTWISE = {
+    "log_bessel_k": lambda lam, a, x: log_bessel_k(lam, x),
+    "bessel_k": lambda lam, a, x: bessel_k(lam, x),
+    "gig_logpdf": lambda lam, a, x: gig_logpdf(GigParams(lam, a, 1.0 / a), x),
+    "gig_pdf": lambda lam, a, x: gig_pdf(GigParams.symmetric(lam, a), x),
+    "inverse_gamma_pdf": lambda lam, a, x: inverse_gamma_pdf(
+        InvGammaParams(abs(lam) + 0.1, a), x),
+    "inverse_gamma_cdf": lambda lam, a, x: inverse_gamma_cdf(
+        InvGammaParams(abs(lam) + 0.1, a), x),
+    "q_density": lambda lam, a, x: kernels.q_density(lam, a, 1.3, x),
+    "p_density": lambda lam, a, x: kernels.p_density(lam, a, x, 0.7),
+    "lambda_density": lambda lam, a, x: kernels.lambda_density(lam, a, 0.7, x),
+    "ktilde_density": lambda lam, a, x: kernels.ktilde_density(lam, a, x, 0.7),
+    "pi_density": lambda lam, a, x: kernels.pi_density(abs(lam) + 0.1, a, x),
+    "conditional_x2_given_z2": lambda lam, a, x: kernels.conditional_x2_given_z2(
+        lambda t: gig_pdf(GigParams.symmetric(lam, a), t), 1.5, x, _COARSE),
+    "conditional_x3_given_z3_z2": lambda lam, a, x:
+        kernels.conditional_x3_given_z3_z2(
+            lambda t: gig_pdf(GigParams.symmetric(lam, a), t), 1.5, 2.0, x,
+            _COARSE),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(ELEMENTWISE)), lam=st.floats(-3.0, 3.0),
+       a=st.floats(0.3, 3.0),
+       xs=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=6),
+       column=st.booleans())
+def test_scalar_in_float_out_array_in_array_out(name, lam, a, xs, column):
+    fn = ELEMENTWISE[name]
+    x = np.array(xs).reshape((-1, 1) if column else -1)
+    out = fn(lam, a, x)
+    assert isinstance(out, np.ndarray) and out.shape == x.shape
+    for xi, oi in zip(x.ravel(), out.ravel()):
+        alone = fn(lam, a, float(xi))
+        assert type(alone) is float
+        assert np.array_equal(alone, oi, equal_nan=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(1, 5), p=st.integers(0, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_reconstruction_rows_unwrap_like_single_paths(rows, p, seed):
+    rng = np.random.default_rng(seed)
+    log_zs, log_n = rng.normal(0.0, 2.0, (rows, p + 1)), rng.normal(0.0, 2.0, rows)
+    out = reconstruct_x_finite(log_zs, log_n)
+    assert isinstance(out, np.ndarray) and out.shape == (rows,)
+    for row, ln, o in zip(log_zs, log_n, out):
+        alone = reconstruct_x_finite(row, float(ln))
+        assert type(alone) is float and alone == o

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -213,6 +213,36 @@ def test_z_independence_null_and_control():
     assert ctrl.distance_correlation > 0.02
 
 
+def _no_draws(*args):
+    raise AssertionError("drew samples")
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3])
+def test_z_independence_refuses_fewer_than_4_samples_before_drawing(
+        samples, monkeypatch):
+    # dCov's U-statistics divide by n - 2 and n (n - 3)
+    monkeypatch.setattr(stats, "_sharded", _no_draws)
+    with pytest.raises(ValueError, match="at least 4"):
+        z_independence_check(1.0, 1.0, 10, samples, 1)
+
+
+def test_z_independence_runs_at_4_samples():
+    res = z_independence_check(1.0, 1.0, 10, 4, 1)
+    assert np.isfinite(res.distance_correlation)
+
+
+@pytest.mark.parametrize("check", [
+    lambda n, t: scaling_limit_test(1.0, n, t, 200, 0.01, 1),
+    lambda n, t: donsker_check(1.0, n, t, 200, 1)],
+    ids=["scaling_limit_test", "donsker_check"])
+@pytest.mark.parametrize("n, t", [(10, 0.05), (1, 0.5), (200, 0.0)])
+def test_walk_that_never_steps_raises(check, n, t, monkeypatch):
+    # floor(n t) = 0: a KS verdict on the start point would say nothing
+    monkeypatch.setattr(stats, "_sharded", _no_draws)
+    with pytest.raises(ValueError, match="no step"):
+        check(n, t)
+
+
 def _u_centred(v):
     d = np.abs(np.subtract.outer(v, v))
     n, rows = v.size, d.sum(axis=0)
@@ -257,6 +287,7 @@ def test_n_part_statistics_do_not_depend_on_workers(lam, a, n, samples, seed):
 @given(lam=st.floats(-2.0, 3.0), n=st.integers(1, 60), t=st.floats(0.2, 1.0),
        samples=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
 def test_scaling_limit_does_not_depend_on_workers(lam, n, t, samples, seed):
+    assume(n * t >= 1.0)  # the walk takes a step
     assert (scaling_limit_test(lam, n, t, samples, 0.05, seed, workers=1)
             == scaling_limit_test(lam, n, t, samples, 0.05, seed, workers=2))
 
